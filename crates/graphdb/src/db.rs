@@ -1,8 +1,20 @@
 //! The graph-database store.
+//!
+//! A [`GraphDb`] keeps its node names in one arena string, finds nodes and
+//! facts through open-addressing hash tables of dense ids keyed by a
+//! per-database [`RandomState`] (so chosen names cannot flood them), and
+//! serves adjacency from two CSR arrays. Bulk loaders ([`crate::text::parse`],
+//! [`crate::delta::materialize`], [`GraphDb::without_facts`],
+//! [`GraphDb::reversed`]) build the CSR once, at the end of the load; facts
+//! added one at a time through the public mutators rebuild it on the next
+//! adjacency query instead.
 
 use rpq_automata::alphabet::{Alphabet, Letter};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
+use std::hash::{BuildHasher, RandomState};
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Identifier of a node (domain element) of a graph database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -30,25 +42,152 @@ pub struct Fact {
     pub target: NodeId,
 }
 
+/// An open-addressing (linear probing) hash table of dense `u32` ids. The
+/// keys live with the caller, which supplies the hash and an equality test;
+/// each slot keeps the low 32 bits of its key's hash, so growing never
+/// re-hashes a key and most probes never look at one.
+#[derive(Debug, Clone, Default)]
+struct IdTable {
+    /// `(hash, id)` pairs; `id == EMPTY` marks a free slot. The length is
+    /// zero or a power of two.
+    slots: Vec<(u32, u32)>,
+    len: usize,
+}
+
+const EMPTY: u32 = u32::MAX;
+
+impl IdTable {
+    /// The id whose key has `hash` and satisfies `eq`.
+    fn get(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Option<u32> {
+        let hash = hash as u32;
+        let mask = self.slots.len().checked_sub(1)?;
+        let mut i = hash as usize & mask;
+        loop {
+            let (h, id) = self.slots[i];
+            if id == EMPTY {
+                return None;
+            }
+            if h == hash && eq(id) {
+                return Some(id);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The id whose key has `hash` and satisfies `eq`, or `fresh` inserted
+    /// under `hash`. The flag tells whether `fresh` was inserted.
+    fn get_or_insert(&mut self, hash: u64, fresh: u32, eq: impl FnMut(u32) -> bool) -> (u32, bool) {
+        if let Some(id) = self.get(hash, eq) {
+            return (id, false);
+        }
+        self.insert(hash, fresh);
+        (fresh, true)
+    }
+
+    /// Inserts `id` under `hash`; the caller knows its key is absent.
+    fn insert(&mut self, hash: u64, id: u32) {
+        self.reserve(1);
+        self.place(hash as u32, id);
+        self.len += 1;
+    }
+
+    /// Makes room for `additional` more ids without growing again.
+    fn reserve(&mut self, additional: usize) {
+        // Keep the load at most one half: linear probes stay short.
+        let needed = 2 * (self.len + additional);
+        if needed > self.slots.len() {
+            self.grow_to(needed.next_power_of_two().max(16));
+        }
+    }
+
+    fn place(&mut self, hash: u32, id: u32) {
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        while self.slots[i].1 != EMPTY {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = (hash, id);
+    }
+
+    fn grow_to(&mut self, capacity: usize) {
+        let old = std::mem::replace(&mut self.slots, vec![(0, EMPTY); capacity]);
+        for (hash, id) in old {
+            if id != EMPTY {
+                self.place(hash, id);
+            }
+        }
+    }
+}
+
+/// Compressed sparse rows: the facts at node `v` are
+/// `ids[offsets[v]..offsets[v + 1]]`, in increasing id order.
+#[derive(Debug, Clone)]
+struct Csr {
+    offsets: Vec<u32>,
+    ids: Vec<FactId>,
+}
+
+impl Csr {
+    /// One counting pass over `facts`, grouping them by `end`.
+    fn build(num_nodes: usize, facts: &[Fact], end: impl Fn(&Fact) -> NodeId) -> Csr {
+        let mut offsets = vec![0u32; num_nodes + 1];
+        for fact in facts {
+            offsets[end(fact).0 as usize + 1] += 1;
+        }
+        for v in 1..=num_nodes {
+            offsets[v] += offsets[v - 1];
+        }
+        // Place each fact at its node's cursor; afterwards `offsets[v]` holds
+        // the end of row `v`, so shifting right by one restores the starts.
+        let mut ids = vec![FactId(0); facts.len()];
+        for (i, fact) in facts.iter().enumerate() {
+            let cursor = &mut offsets[end(fact).0 as usize];
+            ids[*cursor as usize] = FactId(i as u32);
+            *cursor += 1;
+        }
+        offsets.copy_within(0..num_nodes, 1);
+        offsets[0] = 0;
+        Csr { offsets, ids }
+    }
+
+    fn row(&self, node: NodeId) -> &[FactId] {
+        let v = node.0 as usize;
+        &self.ids[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    }
+}
+
+/// Outgoing and incoming adjacency of every node.
+#[derive(Debug, Clone)]
+struct Adjacency {
+    out: Csr,
+    inc: Csr,
+}
+
 /// An edge-labeled graph database with bag-semantics multiplicities.
 ///
 /// Set-semantics databases are simply databases in which every fact has
 /// multiplicity 1 (the default of [`GraphDb::add_fact`]).
 #[derive(Debug, Clone, Default)]
 pub struct GraphDb {
-    node_names: Vec<String>,
-    node_index: BTreeMap<String, NodeId>,
+    /// Every node name, concatenated in id order.
+    names: String,
+    /// `name_ends[v]` is the end of node `v`'s name in `names`.
+    name_ends: Vec<usize>,
+    /// Node ids by name.
+    node_index: IdTable,
     facts: Vec<Fact>,
     multiplicities: Vec<u64>,
     /// Facts declared **exogenous**: they can never be part of a contingency
     /// set (equivalently, they carry weight `+∞`). This is the "exogenous
     /// relations" setting discussed in Sections 2 and 8 of the paper.
     exogenous: Vec<bool>,
-    fact_index: BTreeMap<Fact, FactId>,
-    /// Outgoing adjacency, indexed by node id (`NodeId`s are dense u32s).
-    out_edges: Vec<Vec<FactId>>,
-    /// Incoming adjacency, indexed by node id.
-    in_edges: Vec<Vec<FactId>>,
+    /// Fact ids by content.
+    fact_index: IdTable,
+    /// The key of both hash tables, drawn per database.
+    hasher: RandomState,
+    /// CSR adjacency over all current nodes and facts; emptied by every
+    /// mutation that adds a node or a fact.
+    adjacency: OnceLock<Adjacency>,
 }
 
 impl GraphDb {
@@ -59,41 +198,49 @@ impl GraphDb {
 
     /// Returns the node with the given name, creating it if necessary.
     pub fn node(&mut self, name: &str) -> NodeId {
-        if let Some(&id) = self.node_index.get(name) {
-            return id;
+        let hash = self.hasher.hash_one(name);
+        let (names, ends) = (&self.names, &self.name_ends);
+        let fresh = ends.len() as u32;
+        let (id, inserted) = self.node_index.get_or_insert(hash, fresh, |id| {
+            names.as_bytes()[name_span(ends, id)] == *name.as_bytes()
+        });
+        if inserted {
+            self.names.push_str(name);
+            self.name_ends.push(self.names.len());
+            self.adjacency.take();
         }
-        let id = NodeId(self.node_names.len() as u32);
-        self.node_names.push(name.to_string());
-        self.node_index.insert(name.to_string(), id);
-        self.out_edges.push(Vec::new());
-        self.in_edges.push(Vec::new());
-        id
+        NodeId(id)
     }
 
     /// Returns the node with the given name if it exists.
     pub fn find_node(&self, name: &str) -> Option<NodeId> {
-        self.node_index.get(name).copied()
+        let hash = self.hasher.hash_one(name);
+        self.node_index
+            .get(hash, |id| {
+                self.names.as_bytes()[name_span(&self.name_ends, id)] == *name.as_bytes()
+            })
+            .map(NodeId)
     }
 
     /// Creates a fresh anonymous node.
     pub fn fresh_node(&mut self) -> NodeId {
-        let name = format!("_n{}", self.node_names.len());
+        let name = format!("_n{}", self.num_nodes());
         self.node(&name)
     }
 
     /// The display name of a node.
     pub fn node_name(&self, node: NodeId) -> &str {
-        &self.node_names[node.0 as usize]
+        &self.names[name_span(&self.name_ends, node.0)]
     }
 
     /// Number of nodes in the domain.
     pub fn num_nodes(&self) -> usize {
-        self.node_names.len()
+        self.name_ends.len()
     }
 
     /// Iterator over all nodes.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.node_names.len() as u32).map(NodeId)
+        (0..self.num_nodes() as u32).map(NodeId)
     }
 
     /// Adds a fact with multiplicity 1 (set semantics). If the fact already
@@ -111,6 +258,11 @@ impl GraphDb {
 
     /// Adds a fact with an explicit multiplicity (bag semantics). If the fact
     /// is already present its multiplicity is **increased** by `multiplicity`.
+    ///
+    /// # Panics
+    ///
+    /// If `multiplicity` is zero or the accumulated multiplicity overflows
+    /// `u64`.
     pub fn add_fact_with_multiplicity(
         &mut self,
         source: NodeId,
@@ -119,24 +271,77 @@ impl GraphDb {
         multiplicity: u64,
     ) -> FactId {
         assert!(multiplicity > 0, "bag multiplicities must be positive");
-        let fact = Fact { source, label, target };
-        if let Some(&id) = self.fact_index.get(&fact) {
-            // The fact is already present: bag semantics accumulates the
-            // multiplicity (except that add_fact keeps set semantics at 1 by
-            // only ever passing multiplicity 1 for a fresh fact).
-            if multiplicity > 1 || self.multiplicities[id.index()] > 1 {
-                self.multiplicities[id.index()] += multiplicity;
-            }
-            return id;
+        match self.try_add_fact(Fact { source, label, target }, multiplicity) {
+            Some(id) => id,
+            None => panic!("bag multiplicity overflows u64"),
         }
-        let id = FactId(self.facts.len() as u32);
+    }
+
+    /// [`GraphDb::add_fact_with_multiplicity`] for the loaders: `None` when
+    /// the fact is present and its accumulated multiplicity would overflow.
+    /// `multiplicity` must be positive.
+    pub(crate) fn try_add_fact(&mut self, fact: Fact, multiplicity: u64) -> Option<FactId> {
+        let hash = self.hasher.hash_one(fact);
+        let facts = &self.facts;
+        let fresh = facts.len() as u32;
+        let (id, inserted) =
+            self.fact_index.get_or_insert(hash, fresh, |id| facts[id as usize] == fact);
+        if inserted {
+            self.push_fact(fact, multiplicity, false);
+            return Some(FactId(id));
+        }
+        // The fact is already present: bag semantics accumulates the
+        // multiplicity, while set semantics (1 on both sides) keeps it at 1.
+        let current = &mut self.multiplicities[id as usize];
+        if multiplicity > 1 || *current > 1 {
+            *current = current.checked_add(multiplicity)?;
+        }
+        Some(FactId(id))
+    }
+
+    /// Appends a fact the caller knows to be absent, skipping the duplicate
+    /// check (the loaders that copy or replay distinct facts use this).
+    pub(crate) fn add_new_fact(&mut self, fact: Fact, multiplicity: u64, exogenous: bool) {
+        self.fact_index.insert(self.hasher.hash_one(fact), self.facts.len() as u32);
+        self.push_fact(fact, multiplicity, exogenous);
+    }
+
+    fn push_fact(&mut self, fact: Fact, multiplicity: u64, exogenous: bool) {
         self.facts.push(fact);
         self.multiplicities.push(multiplicity);
-        self.exogenous.push(false);
-        self.fact_index.insert(fact, id);
-        self.out_edges[source.0 as usize].push(id);
-        self.in_edges[target.0 as usize].push(id);
-        id
+        self.exogenous.push(exogenous);
+        self.adjacency.take();
+    }
+
+    /// Sizes the hash tables for `facts` more facts and as many nodes, so
+    /// that a load of about that size never rehashes.
+    pub(crate) fn reserve(&mut self, facts: usize) {
+        self.node_index.reserve(facts);
+        self.fact_index.reserve(facts);
+    }
+
+    /// Builds the adjacency now, so that queries never pay for it. Every
+    /// bulk loader ends with this.
+    pub(crate) fn finish_load(&mut self) {
+        self.adjacency();
+    }
+
+    fn adjacency(&self) -> &Adjacency {
+        self.adjacency.get_or_init(|| Adjacency {
+            out: Csr::build(self.num_nodes(), &self.facts, |f| f.source),
+            inc: Csr::build(self.num_nodes(), &self.facts, |f| f.target),
+        })
+    }
+
+    /// A database with the nodes of `self` (same ids and names) and no facts.
+    fn with_nodes_of(&self) -> GraphDb {
+        GraphDb {
+            names: self.names.clone(),
+            name_ends: self.name_ends.clone(),
+            node_index: self.node_index.clone(),
+            hasher: self.hasher.clone(),
+            ..GraphDb::default()
+        }
     }
 
     /// Sets the multiplicity of an existing fact.
@@ -194,9 +399,9 @@ impl GraphDb {
         self.multiplicities[id.index()]
     }
 
-    /// Sum of the multiplicities of all facts.
+    /// Sum of the multiplicities of all facts, saturating at `u64::MAX`.
     pub fn total_multiplicity(&self) -> u64 {
-        self.multiplicities.iter().sum()
+        self.multiplicities.iter().fold(0, |sum, &m| sum.saturating_add(m))
     }
 
     /// Iterator over all fact identifiers.
@@ -211,17 +416,20 @@ impl GraphDb {
 
     /// Looks up a fact identifier by its content.
     pub fn find_fact(&self, source: NodeId, label: Letter, target: NodeId) -> Option<FactId> {
-        self.fact_index.get(&Fact { source, label, target }).copied()
+        let fact = Fact { source, label, target };
+        self.fact_index
+            .get(self.hasher.hash_one(fact), |id| self.facts[id as usize] == fact)
+            .map(FactId)
     }
 
     /// The facts leaving a node.
     pub fn out_facts(&self, node: NodeId) -> impl Iterator<Item = FactId> + '_ {
-        self.out_edges[node.0 as usize].iter().copied()
+        self.adjacency().out.row(node).iter().copied()
     }
 
     /// The facts entering a node.
     pub fn in_facts(&self, node: NodeId) -> impl Iterator<Item = FactId> + '_ {
-        self.in_edges[node.0 as usize].iter().copied()
+        self.adjacency().inc.row(node).iter().copied()
     }
 
     /// The alphabet of labels occurring on facts.
@@ -232,24 +440,14 @@ impl GraphDb {
     /// Returns a copy of the database with the given facts removed (their
     /// multiplicities removed entirely). Node identifiers are preserved.
     pub fn without_facts(&self, removed: &BTreeSet<FactId>) -> GraphDb {
-        let mut out = GraphDb {
-            node_names: self.node_names.clone(),
-            node_index: self.node_index.clone(),
-            out_edges: vec![Vec::new(); self.node_names.len()],
-            in_edges: vec![Vec::new(); self.node_names.len()],
-            ..GraphDb::default()
-        };
+        let mut out = self.with_nodes_of();
+        out.fact_index.reserve(self.num_facts());
         for (id, fact) in self.facts() {
             if !removed.contains(&id) {
-                let new_id = out.add_fact_with_multiplicity(
-                    fact.source,
-                    fact.label,
-                    fact.target,
-                    self.multiplicity(id),
-                );
-                out.set_exogenous(new_id, self.is_exogenous(id));
+                out.add_new_fact(fact, self.multiplicity(id), self.is_exogenous(id));
             }
         }
+        out.finish_load();
         out
     }
 
@@ -257,22 +455,13 @@ impl GraphDb {
     /// the paper uses this to relate the resilience of a language and of its
     /// mirror). Fact identifiers are preserved.
     pub fn reversed(&self) -> GraphDb {
-        let mut out = GraphDb {
-            node_names: self.node_names.clone(),
-            node_index: self.node_index.clone(),
-            out_edges: vec![Vec::new(); self.node_names.len()],
-            in_edges: vec![Vec::new(); self.node_names.len()],
-            ..GraphDb::default()
-        };
+        let mut out = self.with_nodes_of();
+        out.fact_index.reserve(self.num_facts());
         for (id, fact) in self.facts() {
-            let new_id = out.add_fact_with_multiplicity(
-                fact.target,
-                fact.label,
-                fact.source,
-                self.multiplicity(id),
-            );
-            out.set_exogenous(new_id, self.is_exogenous(id));
+            let mirrored = Fact { source: fact.target, label: fact.label, target: fact.source };
+            out.add_new_fact(mirrored, self.multiplicity(id), self.is_exogenous(id));
         }
+        out.finish_load();
         out
     }
 
@@ -281,6 +470,12 @@ impl GraphDb {
         let f = self.fact(id);
         format!("{} -{}-> {}", self.node_name(f.source), f.label, self.node_name(f.target))
     }
+}
+
+/// Where node `id`'s name lies in the name arena, given the names' ends.
+fn name_span(ends: &[usize], id: u32) -> Range<usize> {
+    let id = id as usize;
+    (if id == 0 { 0 } else { ends[id - 1] })..ends[id]
 }
 
 impl fmt::Display for GraphDb {
@@ -407,6 +602,63 @@ mod tests {
         let fr = rev.find_fact(v, Letter('a'), u).unwrap();
         assert_eq!(rev.multiplicity(fr), 4);
         assert!(rev.find_fact(u, Letter('a'), v).is_none());
+    }
+
+    #[test]
+    fn bag_sums_never_wrap() {
+        let mut db = GraphDb::new();
+        let u = db.node("u");
+        let v = db.node("v");
+        let fact = Fact { source: u, label: Letter('a'), target: v };
+        let f = db.try_add_fact(fact, u64::MAX).unwrap();
+        assert_eq!(db.try_add_fact(fact, 2), None);
+        assert_eq!(db.multiplicity(f), u64::MAX);
+        // Two distinct facts of multiplicity u64::MAX saturate the total.
+        db.add_fact_with_multiplicity(v, Letter('a'), u, u64::MAX);
+        assert_eq!(db.total_multiplicity(), u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows")]
+    fn overflowing_multiplicity_panics() {
+        let mut db = GraphDb::new();
+        let u = db.node("u");
+        db.add_fact_with_multiplicity(u, Letter('a'), u, u64::MAX);
+        db.add_fact_with_multiplicity(u, Letter('a'), u, 1);
+    }
+
+    #[test]
+    fn adjacency_follows_mutations_after_a_load() {
+        let mut db = GraphDb::new();
+        let f1 = db.add_fact_by_names("u", 'a', "v");
+        db.finish_load();
+        let u = db.find_node("u").unwrap();
+        assert_eq!(db.out_facts(u).collect::<Vec<_>>(), vec![f1]);
+        let f2 = db.add_fact_by_names("u", 'b', "w");
+        let w = db.find_node("w").unwrap();
+        assert_eq!(db.out_facts(u).collect::<Vec<_>>(), vec![f1, f2]);
+        assert_eq!(db.in_facts(w).collect::<Vec<_>>(), vec![f2]);
+        let x = db.node("x");
+        assert_eq!(db.out_facts(x).count(), 0);
+    }
+
+    #[test]
+    fn many_nodes_and_facts_stay_findable() {
+        let mut db = GraphDb::new();
+        for i in 0..1000 {
+            db.add_fact_by_names(&format!("n{i}"), 'a', &format!("n{}", (i * 7) % 1000));
+        }
+        assert_eq!(db.num_nodes(), 1000);
+        assert_eq!(db.num_facts(), 1000);
+        for v in db.nodes() {
+            assert_eq!(db.find_node(db.node_name(v)), Some(v));
+        }
+        for (id, f) in db.facts() {
+            assert_eq!(db.find_fact(f.source, f.label, f.target), Some(id));
+            assert!(db.out_facts(f.source).any(|g| g == id));
+            assert!(db.in_facts(f.target).any(|g| g == id));
+        }
+        assert_eq!(db.find_node("n1000"), None);
     }
 
     #[test]

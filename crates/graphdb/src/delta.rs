@@ -16,16 +16,19 @@
 //! - u a v        # delete the fact u -a-> v (no-op if absent)
 //! ```
 //!
+//! Patches are read by the one-pass line scanner of [`crate::text`], so
+//! comments, whitespace and error messages follow the database format.
+//!
 //! **Put overwrites.** Re-putting an existing `(source, label, target)` fact
 //! replaces its multiplicity and exogenous flag — it does not accumulate the
 //! multiplicities the way [`GraphDb::add_fact_with_multiplicity`] does. This
 //! makes replay order-insensitive per key (last write wins) and gives patches
 //! upsert semantics.
 
-use crate::db::GraphDb;
-use crate::text::ParseError;
+use crate::db::{Fact, GraphDb};
+use crate::text::{self, ParseError};
 use rpq_automata::alphabet::Letter;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// One entry of a database's append-only fact log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,74 +79,40 @@ impl FactChange {
 /// Parses a patch in the line-based text format (see the [module docs](self)).
 pub fn parse_patch(input: &str) -> Result<Vec<FactChange>, ParseError> {
     let mut changes = Vec::new();
-    for (i, raw_line) in input.lines().enumerate() {
-        let line_no = i + 1;
-        let line = raw_line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut parts: Vec<&str> = line.split_whitespace().collect();
-        let op = parts.remove(0);
-        let exogenous = parts.last() == Some(&"!");
-        if exogenous {
-            parts.pop();
-        }
-        let fields = |expected: &str| ParseError {
-            line: line_no,
-            message: format!("expected `{expected}`, got {line:?}"),
-        };
-        let single_letter = |s: &str| -> Result<Letter, ParseError> {
-            let chars: Vec<char> = s.chars().collect();
-            if chars.len() != 1 {
-                return Err(ParseError {
-                    line: line_no,
-                    message: format!("label must be a single character, got {s:?}"),
-                });
-            }
-            Ok(Letter(chars[0]))
-        };
-        match op {
+    for line in text::lines(input) {
+        let fields = line.fields(1);
+        match line.first() {
             "+" => {
-                if parts.len() != 3 && parts.len() != 4 {
-                    return Err(fields("+ source label target [multiplicity] [!]"));
-                }
-                let multiplicity: u64 = if parts.len() == 4 {
-                    parts[3].parse().map_err(|_| ParseError {
-                        line: line_no,
-                        message: format!("invalid multiplicity {:?}", parts[3]),
-                    })?
-                } else {
-                    1
+                let (fields, exogenous) = match fields {
+                    Some((fields, exogenous)) if fields.len() == 3 || fields.len() == 4 => {
+                        (fields, exogenous)
+                    }
+                    _ => return Err(line.shape_error("+ source label target [multiplicity] [!]")),
                 };
-                if multiplicity == 0 {
-                    return Err(ParseError {
-                        line: line_no,
-                        message: "multiplicity must be positive".into(),
-                    });
-                }
+                let multiplicity = line.multiplicity(fields.get(3))?;
                 changes.push(FactChange::Put {
-                    source: parts[0].to_string(),
-                    label: single_letter(parts[1])?,
-                    target: parts[2].to_string(),
+                    source: fields[0].to_string(),
+                    label: line.label(fields[1])?,
+                    target: fields[2].to_string(),
                     multiplicity,
                     exogenous,
                 });
             }
             "-" => {
-                if exogenous || parts.len() != 3 {
-                    return Err(fields("- source label target"));
-                }
+                let fields = match fields {
+                    Some((fields, false)) if fields.len() == 3 => fields,
+                    _ => return Err(line.shape_error("- source label target")),
+                };
                 changes.push(FactChange::Delete {
-                    source: parts[0].to_string(),
-                    label: single_letter(parts[1])?,
-                    target: parts[2].to_string(),
+                    source: fields[0].to_string(),
+                    label: line.label(fields[1])?,
+                    target: fields[2].to_string(),
                 });
             }
             other => {
-                return Err(ParseError {
-                    line: line_no,
-                    message: format!("expected `+` or `-` as the first field, got {other:?}"),
-                });
+                return Err(
+                    line.error(format!("expected `+` or `-` as the first field, got {other:?}"))
+                );
             }
         }
     }
@@ -172,36 +141,41 @@ pub fn changes_from_db(db: &GraphDb) -> Vec<FactChange> {
 /// `materialize(&log[..n])` followed by the remaining changes always agrees
 /// with `materialize(&log[..m])` for `n <= m` on the shared facts.
 pub fn materialize(changes: &[FactChange]) -> GraphDb {
-    // Last-write-wins state per key, plus first-put order for determinism.
-    let mut alive: HashMap<(&str, Letter, &str), (u64, bool)> = HashMap::new();
-    let mut ever_put: HashMap<(&str, Letter, &str), ()> = HashMap::new();
-    let mut order: Vec<(&str, Letter, &str)> = Vec::new();
+    // One slot per key in first-put order, holding its last write (`None`
+    // once deleted).
+    type Key<'a> = (&'a str, Letter, &'a str);
+    let mut slot_of: HashMap<Key<'_>, usize> = HashMap::new();
+    let mut slots: Vec<(Key<'_>, Option<(u64, bool)>)> = Vec::new();
     for change in changes {
         match change {
             FactChange::Put { source, label, target, multiplicity, exogenous } => {
                 let key = (source.as_str(), *label, target.as_str());
-                alive.insert(key, (*multiplicity, *exogenous));
-                if ever_put.insert(key, ()).is_none() {
-                    order.push(key);
+                let state = Some((*multiplicity, *exogenous));
+                match slot_of.entry(key) {
+                    Entry::Occupied(slot) => slots[*slot.get()].1 = state,
+                    Entry::Vacant(slot) => {
+                        slot.insert(slots.len());
+                        slots.push((key, state));
+                    }
                 }
             }
             FactChange::Delete { source, label, target } => {
-                alive.remove(&(source.as_str(), *label, target.as_str()));
+                if let Some(&slot) = slot_of.get(&(source.as_str(), *label, target.as_str())) {
+                    slots[slot].1 = None;
+                }
             }
         }
     }
     let mut db = GraphDb::new();
-    for key in order {
-        if let Some(&(multiplicity, exogenous)) = alive.get(&key) {
-            let (source, label, target) = key;
-            let s = db.node(source);
-            let t = db.node(target);
-            let id = db.add_fact_with_multiplicity(s, label, t, multiplicity);
-            if exogenous {
-                db.set_exogenous(id, true);
-            }
+    db.reserve(slots.len());
+    for ((source, label, target), state) in slots {
+        if let Some((multiplicity, exogenous)) = state {
+            let source = db.node(source);
+            let target = db.node(target);
+            db.add_new_fact(Fact { source, label, target }, multiplicity, exogenous);
         }
     }
+    db.finish_load();
     db
 }
 

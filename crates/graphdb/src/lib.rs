@@ -4,8 +4,8 @@
 //! (facts) `v --a--> v'` over an alphabet `Σ`, possibly with multiplicities
 //! (bag semantics). This crate provides:
 //!
-//! * the [`GraphDb`] store itself ([`db`]), with interned node names, fact
-//!   identifiers, multiplicities and label-indexed adjacency;
+//! * the [`GraphDb`] store itself ([`db`]), with arena-interned node names,
+//!   fact identifiers, multiplicities and CSR adjacency;
 //! * Boolean RPQ evaluation `Q_L(D)` and witness-walk extraction ([`eval`]),
 //!   used both by the resilience definition and by the exact solvers;
 //! * match (hyperedge) enumeration for finite languages, feeding the
@@ -13,7 +13,8 @@
 //! * synthetic workload generators ([`generate`]) used by the benchmark
 //!   harness (layered flow-like instances, random labeled graphs, chain and
 //!   one-dangling instances);
-//! * a small text format ([`text`]) for examples and tests.
+//! * a line-based text format ([`text`]) with its one-pass bulk loader, and
+//!   the patch format and log replay behind snapshot databases ([`delta`]).
 
 #![forbid(unsafe_code)]
 pub mod db;

@@ -11,10 +11,25 @@
 //! ```
 //!
 //! Node names are arbitrary whitespace-free strings; labels are single
-//! characters; a trailing `!` declares the fact exogenous. The format exists
-//! for examples and tests, not for bulk data.
+//! characters; a trailing `!` declares the fact exogenous. A fact repeated
+//! with multiplicity 1 on both occurrences is kept once (set semantics);
+//! otherwise the multiplicities add up (bag semantics), and a sum that
+//! overflows `u64` is an error.
+//!
+//! [`parse`] is the workspace's bulk loader (the server's `solve`,
+//! `solve_batch` and `db_put` requests and the CLI read databases through
+//! it), and [`crate::delta`] patches go through the same line scanner. It
+//! makes one pass over the bytes and allocates nothing per line: fields are
+//! slices of the input, each new name is copied once into the database's name
+//! arena, nodes and facts are found by keyed hashing, and the adjacency is
+//! built in one counting pass at the end. The cost is linear in the input:
+//! about 0.2 µs per fact on 512-fact `ax*b` databases on a 2-core x86-64
+//! host, against 0.7–1.3 µs for the previous `BTreeMap`-based parser (see
+//! EXPERIMENTS.md). Lines holding non-ASCII bytes are split with
+//! [`str::split_whitespace`], so every Unicode space separates fields.
 
-use crate::db::GraphDb;
+use crate::db::{Fact, GraphDb};
+use rpq_automata::alphabet::Letter;
 use std::fmt::Write as _;
 
 /// Errors raised when parsing the text format.
@@ -34,60 +49,165 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The most fields a well-formed line of either format has
+/// (`+ source label target multiplicity !`).
+const MAX_FIELDS: usize = 6;
+
+/// One line of the database or patch format that holds at least one field.
+pub(crate) struct Line<'a> {
+    /// 1-based line number.
+    pub(crate) number: usize,
+    /// The line up to its first `#`.
+    raw: &'a str,
+    fields: [&'a str; MAX_FIELDS],
+    /// How many whitespace-separated fields `raw` holds (possibly more
+    /// than `MAX_FIELDS`).
+    count: usize,
+}
+
+impl<'a> Line<'a> {
+    /// The first field.
+    pub(crate) fn first(&self) -> &'a str {
+        self.fields[0]
+    }
+
+    /// The fields after the first `skip`, less a trailing `!`, and whether
+    /// that marker was there; `None` when the line has too many fields to be
+    /// well-formed.
+    pub(crate) fn fields(&self, skip: usize) -> Option<(&[&'a str], bool)> {
+        let fields = self.fields.get(skip..self.count)?;
+        Some(match fields.split_last() {
+            Some((&"!", rest)) => (rest, true),
+            _ => (fields, false),
+        })
+    }
+
+    fn push(&mut self, field: &'a str) {
+        if let Some(slot) = self.fields.get_mut(self.count) {
+            *slot = field;
+        }
+        self.count += 1;
+    }
+
+    /// The error for a line whose fields do not fit `expected`.
+    pub(crate) fn shape_error(&self, expected: &str) -> ParseError {
+        self.error(format!("expected `{expected}`, got {:?}", self.raw.trim()))
+    }
+
+    pub(crate) fn error(&self, message: String) -> ParseError {
+        ParseError { line: self.number, message }
+    }
+
+    /// A label field: exactly one character.
+    pub(crate) fn label(&self, field: &str) -> Result<Letter, ParseError> {
+        let mut chars = field.chars();
+        match (chars.next(), chars.next()) {
+            (Some(c), None) => Ok(Letter(c)),
+            _ => Err(self.error(format!("label must be a single character, got {field:?}"))),
+        }
+    }
+
+    /// An optional multiplicity field: a positive `u64`, 1 when absent.
+    pub(crate) fn multiplicity(&self, field: Option<&&str>) -> Result<u64, ParseError> {
+        let Some(field) = field else { return Ok(1) };
+        match field.parse::<u64>() {
+            Ok(0) => Err(self.error("multiplicity must be positive".into())),
+            Ok(m) => Ok(m),
+            Err(_) => Err(self.error(format!("invalid multiplicity {field:?}"))),
+        }
+    }
+}
+
+/// The lines of `input` that hold at least one field, each cut at its first
+/// `#` and split on whitespace, in one pass over the bytes.
+pub(crate) fn lines(input: &str) -> Lines<'_> {
+    Lines { input, pos: 0, number: 0 }
+}
+
+/// Iterator returned by [`lines`].
+pub(crate) struct Lines<'a> {
+    input: &'a str,
+    pos: usize,
+    number: usize,
+}
+
+impl<'a> Iterator for Lines<'a> {
+    type Item = Line<'a>;
+
+    fn next(&mut self) -> Option<Line<'a>> {
+        let input = self.input;
+        let bytes = input.as_bytes();
+        while self.pos < bytes.len() {
+            self.number += 1;
+            let mut line =
+                Line { number: self.number, raw: "", fields: [""; MAX_FIELDS], count: 0 };
+            let start = self.pos;
+            let mut ascii = true;
+            let mut i = start;
+            // Fields up to the end of the line's text (`\n`, `#` or the end).
+            loop {
+                while let Some(b' ' | b'\t' | 0x0B..=b'\r') = bytes.get(i) {
+                    i += 1;
+                }
+                let field_start = i;
+                while let Some(&b) = bytes.get(i) {
+                    if matches!(b, b' ' | b'\t'..=b'\r' | b'#') {
+                        break;
+                    }
+                    ascii &= b.is_ascii();
+                    i += 1;
+                }
+                if i == field_start {
+                    break;
+                }
+                line.push(&input[field_start..i]);
+            }
+            line.raw = &input[start..i];
+            self.pos = match bytes[i..].iter().position(|&b| b == b'\n') {
+                Some(n) => i + n + 1,
+                None => bytes.len(),
+            };
+            if !ascii {
+                // Unicode spaces separate fields too: split the text again.
+                line.count = 0;
+                for field in line.raw.split_whitespace() {
+                    line.push(field);
+                }
+            }
+            if line.count > 0 {
+                return Some(line);
+            }
+        }
+        None
+    }
+}
+
 /// Parses a graph database from the text format.
 pub fn parse(input: &str) -> Result<GraphDb, ParseError> {
     let mut db = GraphDb::new();
-    for (i, raw_line) in input.lines().enumerate() {
-        let line_no = i + 1;
-        let line = raw_line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut parts: Vec<&str> = line.split_whitespace().collect();
-        // A trailing `!` marks the fact as exogenous (weight +∞).
-        let exogenous = parts.last() == Some(&"!");
-        if exogenous {
-            parts.pop();
-        }
-        if parts.len() != 3 && parts.len() != 4 {
-            return Err(ParseError {
-                line: line_no,
-                message: format!("expected `source label target [multiplicity] [!]`, got {line:?}"),
-            });
-        }
-        let label: Vec<char> = parts[1].chars().collect();
-        if label.len() != 1 {
-            return Err(ParseError {
-                line: line_no,
-                message: format!("label must be a single character, got {:?}", parts[1]),
-            });
-        }
-        let multiplicity: u64 = if parts.len() == 4 {
-            parts[3].parse().map_err(|_| ParseError {
-                line: line_no,
-                message: format!("invalid multiplicity {:?}", parts[3]),
-            })?
-        } else {
-            1
+    // A guess: fact lines are typically 12–20 bytes long. Guessing wrong
+    // costs a rehash or some idle table slots, never correctness.
+    db.reserve(input.len() / 16);
+    for line in lines(input) {
+        let (fields, exogenous) = match line.fields(0) {
+            Some((fields, exogenous)) if fields.len() == 3 || fields.len() == 4 => {
+                (fields, exogenous)
+            }
+            _ => return Err(line.shape_error("source label target [multiplicity] [!]")),
         };
-        if multiplicity == 0 {
-            return Err(ParseError {
-                line: line_no,
-                message: "multiplicity must be positive".into(),
-            });
-        }
-        let s = db.node(parts[0]);
-        let t = db.node(parts[2]);
-        let id = db.add_fact_with_multiplicity(
-            s,
-            rpq_automata::alphabet::Letter(label[0]),
-            t,
-            multiplicity,
-        );
+        let label = line.label(fields[1])?;
+        let multiplicity = line.multiplicity(fields.get(3))?;
+        let source = db.node(fields[0]);
+        let target = db.node(fields[2]);
+        let id =
+            db.try_add_fact(Fact { source, label, target }, multiplicity).ok_or_else(|| {
+                line.error(format!("bag multiplicity overflows u64 (adding {multiplicity})"))
+            })?;
         if exogenous {
             db.set_exogenous(id, true);
         }
     }
+    db.finish_load();
     Ok(db)
 }
 
@@ -95,28 +215,15 @@ pub fn parse(input: &str) -> Result<GraphDb, ParseError> {
 pub fn serialize(db: &GraphDb) -> String {
     let mut out = String::new();
     for (id, fact) in db.facts() {
+        let (source, target) = (db.node_name(fact.source), db.node_name(fact.target));
+        let _ = write!(out, "{source} {} {target}", fact.label);
         let m = db.multiplicity(id);
-        let marker = if db.is_exogenous(id) { " !" } else { "" };
-        if m == 1 {
-            let _ = writeln!(
-                out,
-                "{} {} {}{}",
-                db.node_name(fact.source),
-                fact.label,
-                db.node_name(fact.target),
-                marker
-            );
-        } else {
-            let _ = writeln!(
-                out,
-                "{} {} {} {}{}",
-                db.node_name(fact.source),
-                fact.label,
-                db.node_name(fact.target),
-                m,
-                marker
-            );
+        let exogenous = db.is_exogenous(id);
+        // A target named `!` would read back as the marker: spell out its 1.
+        if m != 1 || (target == "!" && !exogenous) {
+            let _ = write!(out, " {m}");
         }
+        out.push_str(if exogenous { " !\n" } else { "\n" });
     }
     out
 }
@@ -154,6 +261,18 @@ mod tests {
         assert_eq!(db2.num_facts(), db.num_facts());
         assert_eq!(db2.total_multiplicity(), db.total_multiplicity());
         assert_eq!(serialize(&db2), output);
+    }
+
+    #[test]
+    fn bag_sum_overflow_is_a_parse_error() {
+        let err = parse("u a v 18446744073709551615\nu a v 2\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("overflows"), "{}", err.message);
+        // A plain repeat adds 1 to a fact already above 1, so it overflows too.
+        assert_eq!(parse("u a v 18446744073709551615\nu a v\n").unwrap_err().line, 2);
+        // Two distinct facts at u64::MAX saturate the total instead of wrapping.
+        let db = parse("u a v 18446744073709551615\nv a u 18446744073709551615\n").unwrap();
+        assert_eq!(db.total_multiplicity(), u64::MAX);
     }
 
     #[test]
