@@ -15,8 +15,9 @@
 //! Findings print as clickable `file:line: [rule] message` diagnostics.
 //! Deliberate exceptions are annotated in-source with
 //! `// lint: allow(<rule>, <reason>)` (see [`scope::Allows`]); the reason is
-//! mandatory and malformed annotations are themselves findings, so the
-//! suppression trail stays auditable.
+//! mandatory, and malformed annotations and annotations that suppress
+//! nothing are themselves findings, so the suppression trail stays
+//! auditable.
 
 pub mod lexer;
 pub mod lints;
@@ -105,6 +106,9 @@ pub struct FileAnalysis {
     pub suppressed: usize,
     /// Lock-graph edges contributed to the workspace cycle check.
     pub edges: Vec<LockEdge>,
+    /// The file's annotations, for the workspace passes and the final
+    /// dead-annotation check ([`Allows::unused`]).
+    pub allows: Allows,
 }
 
 /// Analyzes one file's source under `policy` (path is workspace-relative
@@ -112,7 +116,7 @@ pub struct FileAnalysis {
 pub fn analyze_file(rel_path: &str, src: &str, policy: FilePolicy) -> FileAnalysis {
     let lexed = lexer::lex(src);
     let masked = scope::test_region_mask(&lexed.tokens);
-    let allows = Allows::parse(rel_path, &lexed.comments);
+    let mut allows = Allows::parse(rel_path, &lexed.comments);
     let mut raw = Vec::new();
     raw.extend(lints::panics::check(rel_path, &lexed.tokens, &masked, policy));
     let mut edges = Vec::new();
@@ -133,7 +137,8 @@ pub fn analyze_file(rel_path: &str, src: &str, policy: FilePolicy) -> FileAnalys
         }
     }
     // Annotation problems are findings about the suppressions themselves.
-    analysis.findings.extend(allows.findings);
+    analysis.findings.append(&mut allows.findings);
+    analysis.allows = allows;
     analysis
 }
 
@@ -159,13 +164,12 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
     for rel_path in &files {
         let Some(policy) = policy_for(rel_path) else { continue };
         let src = fs::read_to_string(root.join(rel_path))?;
-        allows_by_file
-            .insert(rel_path.clone(), Allows::parse(rel_path, &lexer::lex(&src).comments));
         let analysis = analyze_file(rel_path, &src, policy);
         report.files += 1;
         report.suppressed += analysis.suppressed;
         report.findings.extend(analysis.findings);
         edges.extend(analysis.edges);
+        allows_by_file.insert(rel_path.clone(), analysis.allows);
     }
     // Workspace-level passes: lock-order cycles and protocol exhaustiveness.
     let mut global = locks::cycle_findings(&edges);
@@ -179,6 +183,10 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
         } else {
             report.findings.push(finding);
         }
+    }
+    // Every pass has run: an allow nothing consulted is dead.
+    for allows in allows_by_file.values() {
+        report.findings.extend(allows.unused());
     }
     report.findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(report)

@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Solver entry points and blocking operations that must not run under a
 /// lock (per-database serialization being the one deliberate exception,
 /// annotated at the site).
-const BLOCKING_CALLS: [&str; 24] = [
+const BLOCKING_CALLS: [&str; 25] = [
     "recv",
     "recv_timeout",
     "join",
@@ -41,13 +41,17 @@ const BLOCKING_CALLS: [&str; 24] = [
     "read_to_string",
     "write_all",
     "flush",
+    // The engine's solve entry points (`Engine` one-shots and
+    // `PreparedQuery`'s plain and routed shapes), their private cores, and
+    // the store's one solve entry point (`Store::solve`).
     "solve",
+    "solve_with",
     "solve_with_cut",
+    "route_with_cut_traced",
+    "route_batch",
+    "route_incremental",
+    "route_using",
     "solve_with_cut_using",
-    "solve_batch",
-    "solve_traced",
-    "solve_incremental",
-    "solve_incremental_traced",
     "prepare",
     "get_or_prepare",
 ];
@@ -413,10 +417,19 @@ mod tests {
     #[test]
     fn blocking_call_under_guard_fires() {
         let src = "fn f(&self) { let db = handle.lock().unwrap(); \
-                   prepared.solve_incremental_traced(a, b); }";
+                   prepared.route_incremental(a, b); }";
         let scan = run("store", src);
         assert_eq!(scan.findings.len(), 1);
         assert!(scan.findings[0].message.contains("store.database"));
+    }
+
+    #[test]
+    fn every_solve_entry_point_under_guard_fires() {
+        for callee in ["solve", "solve_with_cut", "route_with_cut_traced", "route_batch"] {
+            let src =
+                format!("fn f(&self) {{ let db = handle.lock().unwrap(); prepared.{callee}(a); }}");
+            assert_eq!(run("store", &src).findings.len(), 1, "{callee}");
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use crate::lexer::{matching_close, Comment, Token};
 use crate::{Finding, Rule};
+use std::cell::Cell;
 use std::collections::HashMap;
 
 /// Marks every token inside a `#[test]` function or `#[cfg(test)]` item
@@ -86,14 +87,27 @@ fn item_end_after(tokens: &[Token], start: usize) -> usize {
 /// ```
 ///
 /// The reason is mandatory: an annotation without one is itself reported
-/// (rule `annotation`), so suppressions stay auditable. `relaxed-ok` is an
-/// accepted alias for `atomic-ordering`, matching the lint's wording.
+/// (rule `annotation`), so suppressions stay auditable. So is a reasoned
+/// annotation that ends up suppressing nothing (see [`Allows::unused`]): a
+/// dead allow would silently cover whatever lands on its line next.
+/// `relaxed-ok` is an accepted alias for `atomic-ordering`, matching the
+/// lint's wording.
 #[derive(Debug, Default)]
 pub struct Allows {
-    by_line: HashMap<u32, Vec<Rule>>,
-    file_wide: Vec<Rule>,
+    path: String,
+    by_line: HashMap<u32, Vec<Allow>>,
+    file_wide: Vec<Allow>,
     /// Malformed annotations found while parsing.
     pub findings: Vec<Finding>,
+}
+
+/// One well-formed annotation: its rule, the line it is written on, and
+/// whether it has suppressed a finding yet.
+#[derive(Debug)]
+struct Allow {
+    rule: Rule,
+    line: u32,
+    used: Cell<bool>,
 }
 
 impl Allows {
@@ -105,7 +119,7 @@ impl Allows {
         use std::collections::HashSet;
         let own_line_comments: HashSet<u32> =
             comments.iter().filter(|c| c.own_line).map(|c| c.line).collect();
-        let mut allows = Allows::default();
+        let mut allows = Allows { path: path.to_string(), ..Allows::default() };
         for comment in comments {
             // Doc comments (`///`, `//!`) are prose — the annotation grammar
             // only binds in plain `//` comments, so documentation may quote
@@ -140,10 +154,11 @@ impl Allows {
             };
             match parse_allow_args(args) {
                 Ok(rule) => {
+                    let allow = Allow { rule, line: comment.line, used: Cell::new(false) };
                     if file_wide {
-                        allows.file_wide.push(rule);
+                        allows.file_wide.push(allow);
                     } else {
-                        allows.by_line.entry(target_line).or_default().push(rule);
+                        allows.by_line.entry(target_line).or_default().push(allow);
                     }
                 }
                 Err(problem) => {
@@ -159,11 +174,40 @@ impl Allows {
         allows
     }
 
-    /// Whether a finding of `rule` on `line` is suppressed by a file-wide
-    /// or line-targeted allow.
+    /// Whether a finding of `rule` on `line` is suppressed by a
+    /// line-targeted or file-wide allow; the allow that answers is marked
+    /// live.
     pub fn suppresses(&self, rule: Rule, line: u32) -> bool {
-        self.file_wide.contains(&rule)
-            || self.by_line.get(&line).is_some_and(|rules| rules.contains(&rule))
+        let targeted = self.by_line.get(&line).into_iter().flatten();
+        match targeted.chain(&self.file_wide).find(|allow| allow.rule == rule) {
+            Some(allow) => {
+                allow.used.set(true);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// An `annotation` finding for every well-formed allow that has not
+    /// suppressed anything. Call after every lint pass (per-file and
+    /// workspace-wide) has consulted [`Allows::suppresses`].
+    pub fn unused(&self) -> Vec<Finding> {
+        let targeted = self.by_line.values().flatten();
+        targeted
+            .chain(&self.file_wide)
+            .filter(|allow| !allow.used.get())
+            .map(|allow| {
+                Finding::new(
+                    &self.path,
+                    allow.line,
+                    Rule::Annotation,
+                    format!(
+                        "`lint: allow({}, …)` suppresses nothing; remove it",
+                        allow.rule.name()
+                    ),
+                )
+            })
+            .collect()
     }
 }
 

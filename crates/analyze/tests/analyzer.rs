@@ -46,6 +46,27 @@ fn clean_fixture_is_green_and_counts_suppressions() {
 }
 
 #[test]
+fn routed_solves_under_a_database_guard_are_flagged() {
+    let report = analyze_workspace(&fixture("routed")).expect("fixture tree analyzes");
+    let locks: Vec<_> = report.findings.iter().filter(|f| f.rule == Rule::LockDiscipline).collect();
+    assert_eq!(locks.len(), 1, "{:#?}", report.findings);
+    assert!(locks[0].message.contains("`route_incremental`"), "{}", locks[0]);
+    assert!(locks[0].message.contains("store.database"), "{}", locks[0]);
+    assert_eq!(locks[0].line, 8);
+    // The annotated `route_with_cut_traced` call is the one suppression.
+    assert_eq!(report.suppressed, 1);
+}
+
+#[test]
+fn an_allow_that_suppresses_nothing_is_a_finding() {
+    let report = analyze_workspace(&fixture("routed")).expect("fixture tree analyzes");
+    let dead: Vec<_> = report.findings.iter().filter(|f| f.rule == Rule::Annotation).collect();
+    assert_eq!(dead.len(), 1, "{:#?}", report.findings);
+    assert_eq!((dead[0].file.as_str(), dead[0].line), ("crates/store/src/lib.rs", 18));
+    assert!(dead[0].message.contains("suppresses nothing"), "{}", dead[0]);
+}
+
+#[test]
 fn real_workspace_is_green() {
     // The repo root is two levels above this crate. Keeping this green is
     // the point of the lint pass: new findings must be fixed or annotated.

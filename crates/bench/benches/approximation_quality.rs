@@ -10,7 +10,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_automata::{Alphabet, Language};
 use rpq_graphdb::generate::random_labeled_graph;
-use rpq_resilience::algorithms::{solve_with, Algorithm};
+use rpq_resilience::algorithms::Algorithm;
+use rpq_resilience::engine::Engine;
 use rpq_resilience::rpq::Rpq;
 use std::time::Duration;
 
@@ -25,23 +26,28 @@ fn approximation_quality(c: &mut Criterion) {
     for &facts in &[10usize, 14, 18] {
         let db = random_labeled_graph(facts / 2, facts, &alphabet, 0xAB + facts as u64);
         // Sanity: the bounds really sandwich the exact value on this instance.
-        let exact = solve_with(Algorithm::ExactBranchAndBound, &query, &db)
+        let exact = Engine::new()
+            .solve_with(Algorithm::ExactBranchAndBound, &query, &db)
             .unwrap()
             .value
             .finite()
             .unwrap();
         let (lower, upper) =
-            solve_with(Algorithm::ApproxGreedy, &query, &db).unwrap().bounds.unwrap();
+            Engine::new().solve_with(Algorithm::ApproxGreedy, &query, &db).unwrap().bounds.unwrap();
         assert!(lower <= exact && exact <= upper);
 
         group.bench_with_input(BenchmarkId::new("exact_bb", facts), &db, |b, db| {
-            b.iter(|| solve_with(Algorithm::ExactBranchAndBound, &query, db).unwrap().value)
+            b.iter(|| {
+                Engine::new().solve_with(Algorithm::ExactBranchAndBound, &query, db).unwrap().value
+            })
         });
         group.bench_with_input(BenchmarkId::new("greedy", facts), &db, |b, db| {
-            b.iter(|| solve_with(Algorithm::ApproxGreedy, &query, db).unwrap().value)
+            b.iter(|| Engine::new().solve_with(Algorithm::ApproxGreedy, &query, db).unwrap().value)
         });
         group.bench_with_input(BenchmarkId::new("k_approx", facts), &db, |b, db| {
-            b.iter(|| solve_with(Algorithm::ApproxKDisjoint, &query, db).unwrap().value)
+            b.iter(|| {
+                Engine::new().solve_with(Algorithm::ApproxKDisjoint, &query, db).unwrap().value
+            })
         });
     }
     group.finish();

@@ -1,13 +1,13 @@
 //! `batch_parallel`: wall-clock scaling of parallel batch solving.
 //!
-//! `PreparedQuery::solve_batch_parallel` splits the per-database half of a
+//! `PreparedQuery::route_batch` splits the per-database half of a
 //! batch over scoped worker threads (the query-only plan is shared
 //! read-only). This benchmark sweeps the `jobs` count on a fixed batch of
 //! flow-shaped `ax*b` databases, at two database sizes:
 //!
-//! * `engine/jobs_<j>/<facts>` — `solve_batch_parallel(&dbs, j)` on 16
+//! * `engine/jobs_<j>/<facts>` — `route_batch(&dbs, j, …)` on 16
 //!   pre-parsed databases of about `<facts>` facts each (`jobs_1` is the
-//!   sequential baseline: it takes the exact `solve_batch` code path);
+//!   sequential baseline: it takes the sequential code path);
 //! * `server/jobs_<j>` — the same batch as one end-to-end `solve_batch`
 //!   request (`"jobs": j`) over a persistent TCP connection, including
 //!   database text parsing server-side.
@@ -24,6 +24,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rpq_bench::workloads::flow_db_of_size;
 use rpq_graphdb::{text, GraphDb};
 use rpq_resilience::engine::Engine;
+use rpq_resilience::obs::Trace;
+use rpq_resilience::router::{RouteBudget, Router};
 use rpq_resilience::rpq::Rpq;
 use rpq_server::{Client, QuerySpec, Request, Server, ServerConfig};
 
@@ -44,20 +46,46 @@ fn bench_batch_parallel(c: &mut Criterion) {
     for facts in [512, 2048] {
         let dbs = corpus(facts);
         // Sanity: parallel and sequential agree before we time anything.
-        let sequential: Vec<_> =
-            prepared.solve_batch(&dbs).into_iter().map(|r| r.unwrap().value).collect();
+        let sequential: Vec<_> = prepared
+            .route_batch(
+                &dbs,
+                1,
+                true,
+                &RouteBudget::UNLIMITED,
+                &Router::new(),
+                &mut Trace::disabled(),
+            )
+            .into_iter()
+            .map(|r| r.unwrap().outcome.value)
+            .collect();
         for jobs in JOBS {
             let parallel: Vec<_> = prepared
-                .solve_batch_parallel(&dbs, jobs)
+                .route_batch(
+                    &dbs,
+                    jobs,
+                    true,
+                    &RouteBudget::UNLIMITED,
+                    &Router::new(),
+                    &mut Trace::disabled(),
+                )
                 .into_iter()
-                .map(|r| r.unwrap().value)
+                .map(|r| r.unwrap().outcome.value)
                 .collect();
             assert_eq!(parallel, sequential, "jobs={jobs}");
             group.bench_with_input(
                 BenchmarkId::new(format!("engine/jobs_{jobs}"), facts),
                 &dbs,
                 |b, dbs| {
-                    b.iter(|| prepared.solve_batch_parallel(dbs, jobs));
+                    b.iter(|| {
+                        prepared.route_batch(
+                            dbs,
+                            jobs,
+                            true,
+                            &RouteBudget::UNLIMITED,
+                            &Router::new(),
+                            &mut Trace::disabled(),
+                        )
+                    });
                 },
             );
         }

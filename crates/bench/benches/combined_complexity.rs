@@ -14,7 +14,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_automata::local::is_local;
 use rpq_automata::{Alphabet, Language};
 use rpq_graphdb::generate::random_labeled_graph;
-use rpq_resilience::algorithms::{solve_with, Algorithm};
+use rpq_resilience::algorithms::Algorithm;
+use rpq_resilience::engine::Engine;
 use rpq_resilience::rpq::Rpq;
 use std::time::Duration;
 
@@ -51,7 +52,7 @@ fn combined_complexity(c: &mut Criterion) {
         let query = Rpq::new(language).with_bag_semantics();
         // |Σ| = 2k + 1 is the swept parameter; |A| grows linearly with it.
         group.bench_with_input(BenchmarkId::from_parameter(2 * k + 1), &query, |b, query| {
-            b.iter(|| solve_with(Algorithm::Local, query, &db).unwrap().value)
+            b.iter(|| Engine::new().solve_with(Algorithm::Local, query, &db).unwrap().value)
         });
     }
     group.finish();

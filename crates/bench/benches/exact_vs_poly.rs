@@ -5,7 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_bench::{aa_path_db, flow_db_of_size};
-use rpq_resilience::algorithms::{solve_with, Algorithm};
+use rpq_resilience::algorithms::Algorithm;
+use rpq_resilience::engine::Engine;
 use rpq_resilience::rpq::Rpq;
 use std::time::Duration;
 
@@ -25,17 +26,19 @@ fn exact_vs_poly(c: &mut Criterion) {
         let db = flow_db_of_size(size);
         // Sanity: both solvers agree.
         assert_eq!(
-            solve_with(Algorithm::Local, &query, &db).unwrap().value,
-            solve_with(Algorithm::ExactBranchAndBound, &query, &db).unwrap().value
+            Engine::new().solve_with(Algorithm::Local, &query, &db).unwrap().value,
+            Engine::new().solve_with(Algorithm::ExactBranchAndBound, &query, &db).unwrap().value
         );
         group.bench_with_input(BenchmarkId::new("exact_bb", db.num_facts()), &db, |b, db| {
-            b.iter(|| solve_with(Algorithm::ExactBranchAndBound, &query, db).unwrap().value)
+            b.iter(|| {
+                Engine::new().solve_with(Algorithm::ExactBranchAndBound, &query, db).unwrap().value
+            })
         });
     }
     for size in [64usize, 96, 256, 1024] {
         let db = flow_db_of_size(size);
         group.bench_with_input(BenchmarkId::new("mincut_poly", db.num_facts()), &db, |b, db| {
-            b.iter(|| solve_with(Algorithm::Local, &query, db).unwrap().value)
+            b.iter(|| Engine::new().solve_with(Algorithm::Local, &query, db).unwrap().value)
         });
     }
     group.finish();
@@ -48,11 +51,13 @@ fn exact_vs_poly(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(1))
         .warm_up_time(Duration::from_millis(200));
     let aa = Rpq::parse("aa").unwrap();
-    assert!(solve_with(Algorithm::Local, &aa, &aa_path_db(4)).is_err());
+    assert!(Engine::new().solve_with(Algorithm::Local, &aa, &aa_path_db(4)).is_err());
     for n in [8usize, 16, 24] {
         let db = aa_path_db(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &db, |b, db| {
-            b.iter(|| solve_with(Algorithm::ExactBranchAndBound, &aa, db).unwrap().value)
+            b.iter(|| {
+                Engine::new().solve_with(Algorithm::ExactBranchAndBound, &aa, db).unwrap().value
+            })
         });
     }
     group.finish();

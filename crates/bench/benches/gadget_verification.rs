@@ -4,7 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_automata::Language;
-use rpq_resilience::algorithms::{solve_with, Algorithm};
+use rpq_resilience::algorithms::Algorithm;
+use rpq_resilience::engine::Engine;
 use rpq_resilience::gadgets::library;
 use rpq_resilience::gadgets::PreGadget;
 use rpq_resilience::reductions::UndirectedGraph;
@@ -47,7 +48,9 @@ fn gadget_verification(c: &mut Criterion) {
         let graph = UndirectedGraph::cycle(n);
         let encoding = gadget.encode_graph(&graph);
         group.bench_with_input(BenchmarkId::from_parameter(format!("C{n}")), &encoding, |b, db| {
-            b.iter(|| solve_with(Algorithm::ExactBranchAndBound, &query, db).unwrap().value)
+            b.iter(|| {
+                Engine::new().solve_with(Algorithm::ExactBranchAndBound, &query, db).unwrap().value
+            })
         });
     }
     group.finish();

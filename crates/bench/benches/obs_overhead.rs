@@ -8,7 +8,7 @@
 //! `batch_parallel` (`jobs = 1`, so the numbers are directly comparable with
 //! the committed `BENCH_batch_parallel.json` `engine/jobs_1` series):
 //!
-//! * `untraced/<facts>` — `solve_batch_parallel_with_cut` through a disabled
+//! * `untraced/<facts>` — `PreparedQuery::route_batch` through a disabled
 //!   trace: the exact code path of an ordinary (non-`trace: true`) request.
 //!   The acceptance criterion is that this regresses < 3% against the
 //!   pre-observability `engine/jobs_1` baseline;
@@ -28,6 +28,7 @@ use rpq_bench::workloads::flow_db_of_size;
 use rpq_graphdb::GraphDb;
 use rpq_resilience::engine::Engine;
 use rpq_resilience::obs::{MetricsRegistry, Trace};
+use rpq_resilience::router::{RouteBudget, Router};
 use rpq_resilience::rpq::Rpq;
 
 const BATCH: usize = 16;
@@ -48,27 +49,43 @@ fn bench_obs_overhead(c: &mut Criterion) {
         let dbs = corpus(facts);
         // Sanity: tracing must not change results, only record spans.
         let untraced: Vec<_> = prepared
-            .solve_batch_parallel_with_cut(&dbs, true, 1)
+            .route_batch(
+                &dbs,
+                1,
+                true,
+                &RouteBudget::UNLIMITED,
+                &Router::new(),
+                &mut Trace::disabled(),
+            )
             .into_iter()
-            .map(|r| r.unwrap().value)
+            .map(|r| r.unwrap().outcome.value)
             .collect();
         let mut check = Trace::enabled();
         let traced: Vec<_> = prepared
-            .solve_batch_parallel_with_cut_traced(&dbs, true, 1, &mut check)
+            .route_batch(&dbs, 1, true, &RouteBudget::UNLIMITED, &Router::new(), &mut check)
             .into_iter()
-            .map(|r| r.unwrap().value)
+            .map(|r| r.unwrap().outcome.value)
             .collect();
         assert_eq!(traced, untraced, "facts={facts}");
         assert!(check.seal() > 0, "enabled trace must record spans");
 
         group.bench_with_input(BenchmarkId::new("untraced", facts), &dbs, |b, dbs| {
-            b.iter(|| prepared.solve_batch_parallel_with_cut(dbs, true, 1));
+            b.iter(|| {
+                prepared.route_batch(
+                    dbs,
+                    1,
+                    true,
+                    &RouteBudget::UNLIMITED,
+                    &Router::new(),
+                    &mut Trace::disabled(),
+                )
+            });
         });
         group.bench_with_input(BenchmarkId::new("traced", facts), &dbs, |b, dbs| {
             b.iter(|| {
                 let mut trace = Trace::enabled();
-                let results =
-                    prepared.solve_batch_parallel_with_cut_traced(dbs, true, 1, &mut trace);
+                let (budget, router) = (RouteBudget::UNLIMITED, Router::new());
+                let results = prepared.route_batch(dbs, 1, true, &budget, &router, &mut trace);
                 (results, trace.seal())
             });
         });

@@ -1,5 +1,5 @@
 //! Plan reuse: prepared (`Engine::prepare` once + `PreparedQuery::solve` per
-//! database) vs unprepared (`algorithms::solve` per database, re-deriving the
+//! database) vs unprepared (`Engine::solve` per database, re-deriving the
 //! full query classification every call) on batch workloads.
 //!
 //! The tractable algorithms split into a query-only half (infix-free
@@ -12,8 +12,9 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_bench::batch_dbs;
 use rpq_graphdb::GraphDb;
-use rpq_resilience::algorithms::solve;
 use rpq_resilience::engine::Engine;
+use rpq_resilience::obs::Trace;
+use rpq_resilience::router::{RouteBudget, Router};
 use rpq_resilience::rpq::Rpq;
 use std::time::Duration;
 
@@ -38,11 +39,11 @@ fn solve_batch_benchmarks(c: &mut Criterion) {
         configure(&mut group);
         group.throughput(criterion::Throughput::Elements(BATCH_SIZE as u64));
 
-        // Unprepared: the legacy dispatcher reclassifies on every call.
+        // Unprepared: the one-shot `Engine::solve` reclassifies on every call.
         group.bench_with_input(BenchmarkId::new("unprepared", BATCH_SIZE), &dbs, |b, dbs| {
             b.iter(|| {
                 for db in dbs {
-                    black_box(solve(&query, db).expect("tractable workload"));
+                    black_box(Engine::new().solve(&query, db).expect("tractable workload"));
                 }
             });
         });
@@ -52,7 +53,14 @@ fn solve_batch_benchmarks(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("prepared", BATCH_SIZE), &dbs, |b, dbs| {
             b.iter(|| {
                 let prepared = engine.prepare(&query).expect("tractable query");
-                for result in prepared.solve_batch(dbs) {
+                for result in prepared.route_batch(
+                    dbs,
+                    1,
+                    true,
+                    &RouteBudget::UNLIMITED,
+                    &Router::new(),
+                    &mut Trace::disabled(),
+                ) {
                     black_box(result.expect("tractable workload"));
                 }
             });

@@ -3,7 +3,7 @@
 //! The monitoring workload behind `rpq-store`: a 512-fact database receives
 //! a delta, and the resilience must be re-answered. The `incremental` arm
 //! patches the retained flow network and warm-starts the min-cut
-//! (`PreparedQuery::solve_incremental`); the `recompute` arm rebuilds from
+//! (`PreparedQuery::route_incremental`); the `recompute` arm rebuilds from
 //! scratch (`PreparedQuery::solve`). Both arms solve the *same* alternating
 //! pair of snapshots (remove a group of facts, put it back), so one
 //! iteration is two solves and the retained state always returns to its
@@ -21,7 +21,9 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use rpq_bench::{flow_db_of_size, local_db_of_size};
 use rpq_graphdb::delta::{changes_from_db, materialize, FactChange};
 use rpq_graphdb::GraphDb;
-use rpq_resilience::engine::Engine;
+use rpq_resilience::engine::{Engine, IncrementalSolver};
+use rpq_resilience::obs::Trace;
+use rpq_resilience::router::{RouteBudget, Router};
 use rpq_resilience::rpq::Rpq;
 use std::time::Duration;
 
@@ -81,36 +83,88 @@ fn updates_benchmarks(c: &mut Criterion) {
             .warm_up_time(Duration::from_millis(200));
         for &size in DELTA_SIZES {
             let pair = update_pair(&db, size);
+            let (budget, router) = (RouteBudget::UNLIMITED, Router::new());
 
             // Sanity before timing: the incremental path must agree with
             // fresh solves on both snapshots of the ring.
             let full_value = prepared.solve(&pair.full).unwrap().value;
             let reduced_value = prepared.solve(&pair.reduced).unwrap().value;
-            let mut solver = prepared.incremental_solver();
-            let (outcome, _) =
-                prepared.solve_incremental(&mut solver, &pair.full, None, false).unwrap();
-            assert_eq!(outcome.value, full_value);
-            let (outcome, _) = prepared
-                .solve_incremental(&mut solver, &pair.reduced, Some(&pair.del), false)
+            let mut solver = IncrementalSolver::new();
+            let (tiered, _) = prepared
+                .route_incremental(
+                    &mut solver,
+                    &pair.full,
+                    None,
+                    false,
+                    &budget,
+                    &router,
+                    &mut Trace::disabled(),
+                )
                 .unwrap();
-            assert_eq!(outcome.value, reduced_value, "{family}/{size}");
-            let (outcome, _) = prepared
-                .solve_incremental(&mut solver, &pair.full, Some(&pair.ins), false)
+            assert_eq!(tiered.outcome.value, full_value);
+            let (tiered, _) = prepared
+                .route_incremental(
+                    &mut solver,
+                    &pair.reduced,
+                    Some(&pair.del),
+                    false,
+                    &budget,
+                    &router,
+                    &mut Trace::disabled(),
+                )
                 .unwrap();
-            assert_eq!(outcome.value, full_value, "{family}/{size}");
+            assert_eq!(tiered.outcome.value, reduced_value, "{family}/{size}");
+            let (tiered, _) = prepared
+                .route_incremental(
+                    &mut solver,
+                    &pair.full,
+                    Some(&pair.ins),
+                    false,
+                    &budget,
+                    &router,
+                    &mut Trace::disabled(),
+                )
+                .unwrap();
+            assert_eq!(tiered.outcome.value, full_value, "{family}/{size}");
 
             // Incremental: the retained network absorbs del + ins per
             // iteration (two solves), ending back at the full snapshot.
             group.bench_with_input(BenchmarkId::new("incremental", size), &pair, |b, pair| {
-                let mut solver = prepared.incremental_solver();
-                prepared.solve_incremental(&mut solver, &pair.full, None, false).unwrap();
+                let mut solver = IncrementalSolver::new();
+                prepared
+                    .route_incremental(
+                        &mut solver,
+                        &pair.full,
+                        None,
+                        false,
+                        &budget,
+                        &router,
+                        &mut Trace::disabled(),
+                    )
+                    .unwrap();
                 b.iter(|| {
                     let down = prepared
-                        .solve_incremental(&mut solver, &pair.reduced, Some(&pair.del), false)
+                        .route_incremental(
+                            &mut solver,
+                            &pair.reduced,
+                            Some(&pair.del),
+                            false,
+                            &budget,
+                            &router,
+                            &mut Trace::disabled(),
+                        )
                         .unwrap();
                     black_box(down);
                     let up = prepared
-                        .solve_incremental(&mut solver, &pair.full, Some(&pair.ins), false)
+                        .route_incremental(
+                            &mut solver,
+                            &pair.full,
+                            Some(&pair.ins),
+                            false,
+                            &budget,
+                            &router,
+                            &mut Trace::disabled(),
+                        )
                         .unwrap();
                     black_box(up);
                 });

@@ -30,6 +30,7 @@ use rpq_bench::workloads::{
 };
 use rpq_graphdb::GraphDb;
 use rpq_resilience::engine::Engine;
+use rpq_resilience::obs::Trace;
 use rpq_resilience::router::{RouteBudget, Router};
 use rpq_resilience::rpq::{ResilienceValue, Rpq};
 
@@ -72,7 +73,9 @@ fn bench_router(c: &mut Criterion) {
             let prepared = engine.prepare(&Rpq::parse(pattern).unwrap()).unwrap();
             for db in dbs {
                 let truth = prepared.solve(db).unwrap().value;
-                let tiered = prepared.route_with_cut(db, false, &budget, &router).unwrap();
+                let tiered = prepared
+                    .route_with_cut_traced(db, false, &budget, &router, &mut Trace::disabled())
+                    .unwrap();
                 if tiered.degraded {
                     degraded += 1;
                 } else {
@@ -121,7 +124,17 @@ fn bench_router(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("route_{name}"), budget_us),
                 &budget,
-                |b, budget| b.iter(|| prepared.route_with_cut(db, false, budget, &router)),
+                |b, budget| {
+                    b.iter(|| {
+                        prepared.route_with_cut_traced(
+                            db,
+                            false,
+                            budget,
+                            &router,
+                            &mut Trace::disabled(),
+                        )
+                    })
+                },
             );
         }
     }
@@ -134,11 +147,28 @@ fn bench_router(c: &mut Criterion) {
     let prepared = engine.prepare(&Rpq::parse("ax*b").unwrap()).unwrap();
     let db = flow_db_of_size(512);
     assert_eq!(
-        prepared.route(&db, &RouteBudget::UNLIMITED).unwrap().outcome,
+        prepared
+            .route_with_cut_traced(
+                &db,
+                true,
+                &RouteBudget::UNLIMITED,
+                &router,
+                &mut Trace::disabled()
+            )
+            .unwrap()
+            .outcome,
         prepared.solve(&db).unwrap()
     );
     group.bench_function("overhead/route_unlimited", |b| {
-        b.iter(|| prepared.route(&db, &RouteBudget::UNLIMITED))
+        b.iter(|| {
+            prepared.route_with_cut_traced(
+                &db,
+                true,
+                &RouteBudget::UNLIMITED,
+                &router,
+                &mut Trace::disabled(),
+            )
+        })
     });
     group.bench_function("overhead/solve_direct", |b| b.iter(|| prepared.solve(&db)));
     group.finish();

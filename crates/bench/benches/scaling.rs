@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_bench::{scaling_workloads, workload_language};
-use rpq_resilience::algorithms::solve;
+use rpq_resilience::engine::Engine;
 use rpq_resilience::rpq::Rpq;
 use std::time::Duration;
 
@@ -28,7 +28,7 @@ fn scaling(c: &mut Criterion) {
             let query = Rpq::new(language.clone()).with_bag_semantics();
             group.throughput(criterion::Throughput::Elements(db.num_facts() as u64));
             group.bench_with_input(BenchmarkId::from_parameter(db.num_facts()), &db, |b, db| {
-                b.iter(|| solve(&query, db).expect("tractable workload"));
+                b.iter(|| Engine::new().solve(&query, db).expect("tractable workload"));
             });
         }
         group.finish();

@@ -5,7 +5,7 @@
 //! the protocol + TCP + worker-pool layers cost on top of the direct engine,
 //! and what a cache hit saves versus re-preparing:
 //!
-//! * `direct/solve_batch_32` — baseline: one `PreparedQuery::solve_batch`
+//! * `direct/solve_batch_32` — baseline: one `PreparedQuery::route_batch`
 //!   over 32 pre-parsed databases, no server;
 //! * `server/solve_batch_32_one_conn` — the same 32 databases as one
 //!   `solve_batch` request over one persistent TCP connection (includes
@@ -28,6 +28,8 @@ use rpq_automata::Word;
 use rpq_graphdb::generate::word_path;
 use rpq_graphdb::text;
 use rpq_resilience::engine::Engine;
+use rpq_resilience::obs::Trace;
+use rpq_resilience::router::{RouteBudget, Router};
 use rpq_resilience::rpq::Rpq;
 use rpq_server::{Client, QuerySpec, Request, Server, ServerConfig};
 
@@ -52,7 +54,16 @@ fn bench_server_throughput(c: &mut Criterion) {
     let prepared = engine.prepare(&Rpq::parse("ax*b").unwrap()).unwrap();
     let parsed: Vec<_> = dbs.iter().map(|t| text::parse(t).unwrap()).collect();
     group.bench_function("direct/solve_batch_32", |b| {
-        b.iter(|| prepared.solve_batch(&parsed));
+        b.iter(|| {
+            prepared.route_batch(
+                &parsed,
+                1,
+                true,
+                &RouteBudget::UNLIMITED,
+                &Router::new(),
+                &mut Trace::disabled(),
+            )
+        });
     });
 
     let server =

@@ -42,6 +42,7 @@ use rpq_resilience::algorithms::{Algorithm, ResilienceOutcome};
 use rpq_resilience::classify::{classify, figure1_rows};
 use rpq_resilience::engine::{Engine, SolveOptions};
 use rpq_resilience::gadgets::families::find_gadget;
+use rpq_resilience::obs::Trace;
 use rpq_resilience::router::{RouteBudget, Router, TieredOutcome};
 use rpq_resilience::rpq::Rpq;
 use rpq_server::{
@@ -300,7 +301,14 @@ fn cmd_resilience(pattern: &str, args: &[String]) -> Result<(), String> {
         // `--jobs n`: load everything, solve the whole batch on scoped
         // threads, then print in file order.
         let dbs = paths.iter().map(|path| load_database(path)).collect::<Result<Vec<_>, _>>()?;
-        let outcomes = prepared.route_batch_parallel(&dbs, jobs, &budget, &router);
+        let outcomes = prepared.route_batch(
+            &dbs,
+            jobs,
+            options.want_cut,
+            &budget,
+            &router,
+            &mut Trace::disabled(),
+        );
         for ((path, db), outcome) in paths.iter().zip(&dbs).zip(outcomes) {
             report(path, db, &outcome.map_err(|e| e.to_string())?);
         }
@@ -310,7 +318,13 @@ fn cmd_resilience(pattern: &str, args: &[String]) -> Result<(), String> {
         for path in paths {
             let db = load_database(path)?;
             let tiered = prepared
-                .route_with_cut(&db, options.want_cut, &budget, &router)
+                .route_with_cut_traced(
+                    &db,
+                    options.want_cut,
+                    &budget,
+                    &router,
+                    &mut Trace::disabled(),
+                )
                 .map_err(|e| e.to_string())?;
             report(path, &db, &tiered);
         }

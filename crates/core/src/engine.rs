@@ -5,11 +5,11 @@
 //! ε-check, the locality test and its RO-εNFA, the finiteness / bipartite
 //! chain analysis, the one-dangling decomposition — that is independent of
 //! the database. [`Engine::prepare`] runs that analysis exactly once and
-//! caches the result in a [`PreparedQuery`]; [`PreparedQuery::solve`] and
-//! [`PreparedQuery::solve_batch`] then only perform the per-database half of
-//! the chosen reduction (building and cutting one flow network, or running
-//! the exact/approximate solvers). Server-style workloads that evaluate one
-//! query over many databases skip all reclassification:
+//! caches the result in a [`PreparedQuery`], whose solves then only perform
+//! the per-database half of the chosen reduction (building and cutting one
+//! flow network, or running the exact/approximate solvers). Server-style
+//! workloads that evaluate one query over many databases skip all
+//! reclassification:
 //!
 //! ```
 //! use rpq_resilience::engine::Engine;
@@ -28,15 +28,24 @@
 //! assert_eq!(outcome.value.finite(), Some(1));
 //! ```
 //!
+//! A prepared query has one routed method per input shape, each ending in
+//! the same parameters `(want_cut, &RouteBudget, &Router, &mut Trace)`:
+//! [`PreparedQuery::route_with_cut_traced`] for one database,
+//! [`PreparedQuery::route_batch`] for a batch on worker threads, and
+//! [`PreparedQuery::route_incremental`] for a timeline of snapshots that
+//! reuses the previous snapshot's flow. All three make the router's
+//! fit-or-degrade decision in one place (see [`crate::router`]);
+//! [`RouteBudget::UNLIMITED`], [`Router::new`] and [`Trace::disabled`] give
+//! a plain solve. [`PreparedQuery::solve`] and
+//! [`PreparedQuery::solve_with_cut`] are that plain solve for one database,
+//! and [`Engine::solve`] / [`Engine::solve_with`] prepare and solve in one
+//! call for one-shot callers.
+//!
 //! [`SolveOptions`] configures the engine: every MinCut backend of
 //! [`rpq_flow`] ([`FlowAlgorithm`]) is selectable end to end, the exponential
 //! exact fallback can be disabled for latency-sensitive callers, the
 //! subset-enumeration oracle gets a typed size limit, and contingency-set
 //! extraction can be switched off when only the value is needed.
-//!
-//! The legacy entry points [`crate::algorithms::solve`] and
-//! [`crate::algorithms::solve_with`] are thin wrappers over a default
-//! `Engine` and return identical outcomes.
 
 use crate::algorithms::chain::ChainPlan;
 use crate::algorithms::one_dangling::OneDanglingPlan;
@@ -226,7 +235,7 @@ impl ScratchPool {
     }
 }
 
-/// How a [`PreparedQuery::solve_incremental`] call was satisfied: by patching
+/// How a [`PreparedQuery::route_incremental`] call was satisfied: by patching
 /// the retained flow network of the previous snapshot, or by a full
 /// per-database build (first solve, unsupported plan family, oversized or
 /// missing delta, fallback guards). Surfaced so callers — the store's
@@ -236,11 +245,11 @@ pub enum SolveMode {
     /// The retained network was patched and the min-cut warm-started.
     Incremental,
     /// The solve rebuilt from the database (equivalent to a fresh
-    /// [`PreparedQuery::solve`]).
+    /// [`PreparedQuery::solve`]), or degraded under its budget.
     Full,
 }
 
-/// Drives [`PreparedQuery::solve_incremental`]: owns the [`SolveScratch`]
+/// Drives [`PreparedQuery::route_incremental`]: owns the [`SolveScratch`]
 /// whose retained flow network survives between solves. A dedicated owner —
 /// rather than the plan's pool — because pooled scratches are clobbered by
 /// ordinary solves, which would silently invalidate the retained per-edge
@@ -313,7 +322,7 @@ impl Engine {
 
     /// Runs the full query-only analysis and caches the resulting plan.
     /// Picks the best applicable algorithm for the query's infix-free
-    /// sublanguage, in the same order as the legacy `algorithms::solve`:
+    /// sublanguage, in this order:
     ///
     /// 1. `ε ∈ IF(L)` → the resilience is `+∞` on every database;
     /// 2. `IF(L)` local → Theorem 3.13;
@@ -422,8 +431,7 @@ impl Engine {
     }
 
     /// Prepares a query with an explicitly chosen algorithm, failing with
-    /// [`ResilienceError::NotApplicable`] when the language does not qualify
-    /// (mirrors the legacy `algorithms::solve_with`).
+    /// [`ResilienceError::NotApplicable`] when the language does not qualify.
     pub fn prepare_with(
         &self,
         algorithm: Algorithm,
@@ -507,9 +515,10 @@ impl PreparedQuery {
         &self.report
     }
 
-    /// Solves one database using the cached plan: no language analysis is
-    /// re-derived. Returns outcomes identical to the legacy
-    /// `algorithms::solve` / `solve_with` on the same query and database.
+    /// Solves one database using the cached plan and its
+    /// [`SolveOptions::want_cut`]: no language analysis is re-derived.
+    /// Returns outcomes identical to [`Engine::solve`] /
+    /// [`Engine::solve_with`] on the same query and database.
     pub fn solve(&self, db: &GraphDb) -> Result<ResilienceOutcome, ResilienceError> {
         self.solve_with_cut(db, self.options.want_cut)
     }
@@ -524,53 +533,26 @@ impl PreparedQuery {
         db: &GraphDb,
         want_cut: bool,
     ) -> Result<ResilienceOutcome, ResilienceError> {
-        self.solve_with_cut_traced(db, want_cut, &mut Trace::disabled())
+        // An unlimited budget always runs the planned backend, so the answer
+        // is bit-identical to an unrouted solve.
+        self.route_with_cut_traced(
+            db,
+            want_cut,
+            &RouteBudget::UNLIMITED,
+            &Router::new(),
+            &mut Trace::disabled(),
+        )
+        .map(|tiered| tiered.outcome)
     }
 
-    /// [`PreparedQuery::solve_with_cut`] with phase tracing: when `trace` is
-    /// enabled the solve records per-phase spans (`product_build`,
-    /// `csr_freeze`, the flow backend, `cut_extract`, `witness_extract`, …).
-    /// A disabled trace skips every clock read, making this identical to
-    /// [`PreparedQuery::solve_with_cut`].
-    pub fn solve_with_cut_traced(
-        &self,
-        db: &GraphDb,
-        want_cut: bool,
-        trace: &mut Trace,
-    ) -> Result<ResilienceOutcome, ResilienceError> {
-        // Every solve dispatches through the router; an unlimited budget
-        // always runs the planned backend, so the answer is bit-identical
-        // to pre-router behavior.
-        self.route_with_cut_traced(db, want_cut, &RouteBudget::UNLIMITED, &Router::new(), trace)
-            .map(|tiered| tiered.outcome)
-    }
-
-    /// Routes one solve under the caller's [`RouteBudget`] with the plan's
-    /// default contingency-set choice and a shed-free [`Router`]: the planned
-    /// backend runs when its projected cost fits (bit-identical to
-    /// [`PreparedQuery::solve`]); otherwise the router degrades to a cheaper
-    /// *certified* tier instead of blowing the budget (see [`crate::router`]).
-    pub fn route(
-        &self,
-        db: &GraphDb,
-        budget: &RouteBudget,
-    ) -> Result<TieredOutcome, ResilienceError> {
-        self.route_with_cut(db, self.options.want_cut, budget, &Router::new())
-    }
-
-    /// [`PreparedQuery::route`] with explicit contingency-set choice and
-    /// router (the server threads its overload-probing router through here).
-    pub fn route_with_cut(
-        &self,
-        db: &GraphDb,
-        want_cut: bool,
-        budget: &RouteBudget,
-        router: &Router,
-    ) -> Result<TieredOutcome, ResilienceError> {
-        self.route_with_cut_traced(db, want_cut, budget, router, &mut Trace::disabled())
-    }
-
-    /// [`PreparedQuery::route_with_cut`] with phase tracing.
+    /// Routes one solve under the caller's [`RouteBudget`] and [`Router`]
+    /// (the server threads its overload-probing router through here): the
+    /// planned backend runs when its projected cost fits; otherwise the
+    /// router degrades to a cheaper *certified* tier instead of blowing the
+    /// budget (see [`crate::router`]). When `trace` is enabled the solve
+    /// records per-phase spans (`product_build`, `csr_freeze`, the flow
+    /// backend, `cut_extract`, `witness_extract`, …); a disabled trace skips
+    /// every clock read.
     pub fn route_with_cut_traced(
         &self,
         db: &GraphDb,
@@ -585,12 +567,123 @@ impl PreparedQuery {
         result
     }
 
-    /// The routing core every solve entry point funnels through: projects the
-    /// planned backend's cost onto `db`, resolves the effective budget
-    /// (overload shedding included), and either runs the plan or degrades
-    /// down the certified ladder (greedy bounds, then trivial bounds). Never
-    /// refuses: a budget too small for any solver still gets the linear-time
-    /// trivial sandwich.
+    /// Routes every database of a batch with up to `jobs` worker threads,
+    /// returning results in database order; one failure does not abort the
+    /// batch. The budget applies to each database independently (its own
+    /// cost projection and, if needed, its own certified degradation), so
+    /// one oversized database degrades without dragging its siblings down a
+    /// tier.
+    ///
+    /// `jobs <= 1` (or a single database) runs sequentially over one scratch
+    /// checked out for the whole batch, so after the first (warm-up)
+    /// database the flow core allocates nothing. Otherwise the batch splits
+    /// into contiguous chunks solved on scoped threads — the per-database
+    /// work is read-only with respect to the plan (`PreparedQuery` is
+    /// `Send + Sync`) — each worker reusing one pooled scratch across its
+    /// chunk. The router is shared, so an overload probe tightens every
+    /// in-flight chunk as soon as it trips. Each worker records into its own
+    /// trace, merged into `trace` after the batch: with more than one job
+    /// the phase totals are summed CPU time across workers (they can exceed
+    /// the batch's wall-clock).
+    pub fn route_batch(
+        &self,
+        dbs: &[GraphDb],
+        jobs: usize,
+        want_cut: bool,
+        budget: &RouteBudget,
+        router: &Router,
+        trace: &mut Trace,
+    ) -> Vec<Result<TieredOutcome, ResilienceError>> {
+        let jobs = jobs.max(1).min(dbs.len().max(1));
+        if jobs <= 1 {
+            let mut scratch = self.scratch.take();
+            let results = dbs
+                .iter()
+                .map(|db| self.route_using(db, want_cut, budget, router, &mut scratch, trace))
+                .collect();
+            self.scratch.put(scratch);
+            return results;
+        }
+        let chunk_size = dbs.len().div_ceil(jobs);
+        let num_chunks = dbs.len().div_ceil(chunk_size);
+        let mut worker_traces: Vec<Trace> = (0..num_chunks)
+            .map(|_| if trace.is_enabled() { Trace::enabled() } else { Trace::disabled() })
+            .collect();
+        let mut results: Vec<Option<Result<TieredOutcome, ResilienceError>>> =
+            (0..dbs.len()).map(|_| None).collect();
+        std::thread::scope(|scope| {
+            for ((db_chunk, out_chunk), worker_trace) in dbs
+                .chunks(chunk_size)
+                .zip(results.chunks_mut(chunk_size))
+                .zip(worker_traces.iter_mut())
+            {
+                scope.spawn(move || {
+                    let mut scratch = self.scratch.take();
+                    for (db, out) in db_chunk.iter().zip(out_chunk.iter_mut()) {
+                        *out = Some(self.route_using(
+                            db,
+                            want_cut,
+                            budget,
+                            router,
+                            &mut scratch,
+                            worker_trace,
+                        ));
+                    }
+                    self.scratch.put(scratch);
+                });
+            }
+        });
+        for worker_trace in &worker_traces {
+            trace.merge(worker_trace);
+        }
+        // lint: allow(panic-freedom, the scoped workers above fill every chunk slot before joining)
+        results.into_iter().map(|r| r.expect("every chunk slot is filled")).collect()
+    }
+
+    /// Routes a solve of `db` — the materialization of the *current*
+    /// snapshot — reusing the flow network and maximum flow the `solver`
+    /// retained from the previous snapshot when possible.
+    ///
+    /// `delta` is the fact-change log between the previously solved snapshot
+    /// and this one (`None` when unknown, e.g. on the first solve or after a
+    /// snapshot rollback). When the plan is the Theorem 3.13 local reduction
+    /// and the delta is small relative to the database, the solve applies the
+    /// changes as edge-capacity patches and warm-starts the min-cut from the
+    /// retained flow ([`SolveMode::Incremental`]); otherwise it falls back to
+    /// a full build ([`SolveMode::Full`]) — same outcome, batch-path speed.
+    /// Outcomes always match [`PreparedQuery::route_with_cut_traced`] on the
+    /// same database and budget. The patch path records `patch_apply` /
+    /// `rebuild`, `csr_freeze`, `flow_resume` and `witness_extract` spans;
+    /// fallbacks record the batch-path phases.
+    ///
+    /// The cost projection is the *full-build* cost of the planned backend —
+    /// an upper bound on the warm-start cost, so a fitting estimate never
+    /// risks the deadline. When the estimate does not fit, the solve
+    /// degrades down the certified ladder **without touching the solver's
+    /// retained state**: a later unlimited solve still warm-starts from the
+    /// last full answer.
+    #[allow(clippy::too_many_arguments)]
+    pub fn route_incremental(
+        &self,
+        solver: &mut IncrementalSolver,
+        db: &GraphDb,
+        delta: Option<&[FactChange]>,
+        want_cut: bool,
+        budget: &RouteBudget,
+        router: &Router,
+        trace: &mut Trace,
+    ) -> Result<(TieredOutcome, SolveMode), ResilienceError> {
+        // The degraded rungs never touch `solver.scratch`, so the retained
+        // flow survives for the next unlimited solve.
+        self.fit_or_degrade(db, want_cut, budget, router, trace, |trace| {
+            self.solve_incremental_using(solver, db, delta, want_cut, trace)
+        })
+        .map(|(tiered, mode)| (tiered, mode.unwrap_or(SolveMode::Full)))
+    }
+
+    /// One routed solve over an explicit scratch: the per-database step of
+    /// [`PreparedQuery::route_with_cut_traced`] and
+    /// [`PreparedQuery::route_batch`].
     fn route_using(
         &self,
         db: &GraphDb,
@@ -600,16 +693,36 @@ impl PreparedQuery {
         scratch: &mut SolveScratch,
         trace: &mut Trace,
     ) -> Result<TieredOutcome, ResilienceError> {
-        let planned = self.report.algorithm;
+        self.fit_or_degrade(db, want_cut, budget, router, trace, |trace| {
+            Ok((self.solve_with_cut_using(db, want_cut, scratch, trace)?, ()))
+        })
+        .map(|(tiered, _)| tiered)
+    }
+
+    /// The router's fit-or-degrade decision, the one place its policy lives:
+    /// projects the planned backend's cost onto `db`, resolves the effective
+    /// budget (overload shedding included), and either runs the plan through
+    /// `run_plan` — returning its extra output — or degrades down the
+    /// certified ladder (greedy bounds, then trivial bounds) and returns
+    /// `None` for it. Never refuses: a budget too small for any solver still
+    /// gets the linear-time trivial sandwich.
+    fn fit_or_degrade<M>(
+        &self,
+        db: &GraphDb,
+        want_cut: bool,
+        budget: &RouteBudget,
+        router: &Router,
+        trace: &mut Trace,
+        run_plan: impl FnOnce(&mut Trace) -> Result<(ResilienceOutcome, M), ResilienceError>,
+    ) -> Result<(TieredOutcome, Option<M>), ResilienceError> {
         // ε ∈ IF(L) plans answer in constant time whatever the model says.
         let estimated = match &self.strategy {
             Strategy::EpsilonInfinite { .. } => 0,
             _ => self.report.cost.estimate_us_for(db),
         };
         let (limit, shed) = router.effective_limit_us(budget);
-        let fits = limit.is_none_or(|l| estimated <= l);
-        if fits {
-            let outcome = self.solve_with_cut_using(db, want_cut, scratch, trace)?;
+        let Some(limit_us) = limit.filter(|&l| estimated > l) else {
+            let (outcome, extra) = run_plan(trace)?;
             let reason = match limit {
                 None => "no deadline or cost budget: planned backend ran".to_string(),
                 Some(l) => format!(
@@ -617,19 +730,18 @@ impl PreparedQuery {
                     if shed { " (overload-shed)" } else { "" }
                 ),
             };
-            return Ok(TieredOutcome {
+            let tiered = TieredOutcome {
                 tier: outcome.algorithm.tier(),
                 outcome,
-                planned,
+                planned: self.report.algorithm,
                 degraded: false,
                 shed,
                 reason,
                 estimated_cost_us: estimated,
-            });
-        }
-        // lint: allow(panic-freedom, !fits implies the limit is present)
-        let limit_us = limit.expect("a budget the estimate exceeds must be finite");
-        Ok(self.degrade_using(db, want_cut, limit_us, shed, estimated, trace))
+            };
+            return Ok((tiered, Some(extra)));
+        };
+        Ok((self.degrade_using(db, want_cut, limit_us, shed, estimated, trace), None))
     }
 
     /// The certified degradation ladder shared by the single-solve, batch and
@@ -799,311 +911,6 @@ impl PreparedQuery {
         }
     }
 
-    /// Solves every database of a batch with the cached plan, in order. Each
-    /// database gets its own result; one failure does not abort the batch.
-    /// One scratch is checked out for the whole batch, so after the first
-    /// (warm-up) database the flow core allocates nothing.
-    pub fn solve_batch(&self, dbs: &[GraphDb]) -> Vec<Result<ResilienceOutcome, ResilienceError>> {
-        self.route_batch(dbs, &RouteBudget::UNLIMITED, &Router::new())
-            .into_iter()
-            .map(|r| r.map(|tiered| tiered.outcome))
-            .collect()
-    }
-
-    /// [`PreparedQuery::solve_batch`] under a [`RouteBudget`]: the budget is
-    /// applied to every database of the batch independently (each database
-    /// gets its own cost projection and, if needed, its own certified
-    /// degradation), so one oversized database degrades without dragging its
-    /// siblings down a tier.
-    pub fn route_batch(
-        &self,
-        dbs: &[GraphDb],
-        budget: &RouteBudget,
-        router: &Router,
-    ) -> Vec<Result<TieredOutcome, ResilienceError>> {
-        let mut scratch = self.scratch.take();
-        let mut trace = Trace::disabled();
-        let results = dbs
-            .iter()
-            .map(|db| {
-                self.route_using(
-                    db,
-                    self.options.want_cut,
-                    budget,
-                    router,
-                    &mut scratch,
-                    &mut trace,
-                )
-            })
-            .collect();
-        self.scratch.put(scratch);
-        results
-    }
-
-    /// Solves a batch with up to `jobs` worker threads, returning results in
-    /// database order. The per-database work of every strategy is read-only
-    /// with respect to the plan (`PreparedQuery` is `Send + Sync`), so the
-    /// batch splits into contiguous chunks solved on scoped threads —
-    /// `jobs <= 1` (or a single database) degrades to the sequential
-    /// [`PreparedQuery::solve_batch`]. This is the engine-level half of the
-    /// server's parallel `solve_batch`; wall-clock improves with cores as
-    /// long as the databases are large enough to amortize a thread spawn.
-    pub fn solve_batch_parallel(
-        &self,
-        dbs: &[GraphDb],
-        jobs: usize,
-    ) -> Vec<Result<ResilienceOutcome, ResilienceError>> {
-        self.solve_batch_parallel_with_cut(dbs, self.options.want_cut, jobs)
-    }
-
-    /// [`PreparedQuery::solve_batch_parallel`] with an explicit per-call
-    /// contingency-set choice (see [`PreparedQuery::solve_with_cut`]).
-    pub fn solve_batch_parallel_with_cut(
-        &self,
-        dbs: &[GraphDb],
-        want_cut: bool,
-        jobs: usize,
-    ) -> Vec<Result<ResilienceOutcome, ResilienceError>> {
-        self.solve_batch_parallel_with_cut_traced(dbs, want_cut, jobs, &mut Trace::disabled())
-    }
-
-    /// [`PreparedQuery::solve_batch_parallel_with_cut`] with phase tracing.
-    /// Each worker thread records into its own trace; the per-chunk traces
-    /// are merged into `trace` after the batch, so with more than one job the
-    /// phase totals are summed CPU time across workers (they can exceed the
-    /// batch's wall-clock). A disabled trace skips every clock read.
-    pub fn solve_batch_parallel_with_cut_traced(
-        &self,
-        dbs: &[GraphDb],
-        want_cut: bool,
-        jobs: usize,
-        trace: &mut Trace,
-    ) -> Vec<Result<ResilienceOutcome, ResilienceError>> {
-        self.route_batch_parallel_with_cut_traced(
-            dbs,
-            want_cut,
-            jobs,
-            &RouteBudget::UNLIMITED,
-            &Router::new(),
-            trace,
-        )
-        .into_iter()
-        .map(|r| r.map(|tiered| tiered.outcome))
-        .collect()
-    }
-
-    /// [`PreparedQuery::route_batch`] with worker threads: the parallel-batch
-    /// core every server `solve_batch` funnels through. The budget applies
-    /// per database (see [`PreparedQuery::route_batch`]); the router is
-    /// shared across workers, so an overload probe tightens every in-flight
-    /// chunk as soon as it trips.
-    pub fn route_batch_parallel(
-        &self,
-        dbs: &[GraphDb],
-        jobs: usize,
-        budget: &RouteBudget,
-        router: &Router,
-    ) -> Vec<Result<TieredOutcome, ResilienceError>> {
-        self.route_batch_parallel_with_cut_traced(
-            dbs,
-            self.options.want_cut,
-            jobs,
-            budget,
-            router,
-            &mut Trace::disabled(),
-        )
-    }
-
-    /// [`PreparedQuery::route_batch_parallel`] with explicit contingency-set
-    /// choice and phase tracing (trace semantics as in
-    /// [`PreparedQuery::solve_batch_parallel_with_cut_traced`]).
-    pub fn route_batch_parallel_with_cut_traced(
-        &self,
-        dbs: &[GraphDb],
-        want_cut: bool,
-        jobs: usize,
-        budget: &RouteBudget,
-        router: &Router,
-        trace: &mut Trace,
-    ) -> Vec<Result<TieredOutcome, ResilienceError>> {
-        let jobs = jobs.max(1).min(dbs.len().max(1));
-        if jobs <= 1 {
-            let mut scratch = self.scratch.take();
-            let results = dbs
-                .iter()
-                .map(|db| self.route_using(db, want_cut, budget, router, &mut scratch, trace))
-                .collect();
-            self.scratch.put(scratch);
-            return results;
-        }
-        let chunk_size = dbs.len().div_ceil(jobs);
-        let num_chunks = dbs.len().div_ceil(chunk_size);
-        let mut worker_traces: Vec<Trace> = (0..num_chunks)
-            .map(|_| if trace.is_enabled() { Trace::enabled() } else { Trace::disabled() })
-            .collect();
-        let mut results: Vec<Option<Result<TieredOutcome, ResilienceError>>> =
-            (0..dbs.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for ((db_chunk, out_chunk), worker_trace) in dbs
-                .chunks(chunk_size)
-                .zip(results.chunks_mut(chunk_size))
-                .zip(worker_traces.iter_mut())
-            {
-                // Each worker checks one scratch out of the plan's pool and
-                // reuses it across every database of its chunk.
-                scope.spawn(move || {
-                    let mut scratch = self.scratch.take();
-                    for (db, out) in db_chunk.iter().zip(out_chunk.iter_mut()) {
-                        *out = Some(self.route_using(
-                            db,
-                            want_cut,
-                            budget,
-                            router,
-                            &mut scratch,
-                            worker_trace,
-                        ));
-                    }
-                    self.scratch.put(scratch);
-                });
-            }
-        });
-        for worker_trace in &worker_traces {
-            trace.merge(worker_trace);
-        }
-        // lint: allow(panic-freedom, the scoped workers above fill every chunk slot before joining)
-        results.into_iter().map(|r| r.expect("every chunk slot is filled")).collect()
-    }
-
-    /// A fresh [`IncrementalSolver`] for this plan (see
-    /// [`PreparedQuery::solve_incremental`]).
-    pub fn incremental_solver(&self) -> IncrementalSolver {
-        IncrementalSolver::new()
-    }
-
-    /// Solves `db` — the materialization of the *current* snapshot — reusing
-    /// the flow network and maximum flow the `solver` retained from the
-    /// previous snapshot when possible.
-    ///
-    /// `delta` is the fact-change log between the previously solved snapshot
-    /// and this one (`None` when unknown, e.g. on the first solve or after a
-    /// snapshot rollback). When the plan is the Theorem 3.13 local reduction
-    /// and the delta is small relative to the database, the solve applies the
-    /// changes as edge-capacity patches and warm-starts the min-cut from the
-    /// retained flow ([`SolveMode::Incremental`]); otherwise it falls back to
-    /// a full build ([`SolveMode::Full`]) — same outcome, batch-path speed.
-    /// Outcomes always match a fresh [`PreparedQuery::solve_with_cut`] on the
-    /// same database.
-    pub fn solve_incremental(
-        &self,
-        solver: &mut IncrementalSolver,
-        db: &GraphDb,
-        delta: Option<&[FactChange]>,
-        want_cut: bool,
-    ) -> Result<(ResilienceOutcome, SolveMode), ResilienceError> {
-        self.solve_incremental_traced(solver, db, delta, want_cut, &mut Trace::disabled())
-    }
-
-    /// [`PreparedQuery::solve_incremental`] with phase tracing: the patch
-    /// path records `patch_apply` / `rebuild`, `csr_freeze`, `flow_resume`
-    /// and `witness_extract` spans; fallbacks record the batch-path phases.
-    /// A disabled trace skips every clock read.
-    pub fn solve_incremental_traced(
-        &self,
-        solver: &mut IncrementalSolver,
-        db: &GraphDb,
-        delta: Option<&[FactChange]>,
-        want_cut: bool,
-        trace: &mut Trace,
-    ) -> Result<(ResilienceOutcome, SolveMode), ResilienceError> {
-        self.route_incremental_traced(
-            solver,
-            db,
-            delta,
-            want_cut,
-            &RouteBudget::UNLIMITED,
-            &Router::new(),
-            trace,
-        )
-        .map(|(tiered, mode)| (tiered.outcome, mode))
-    }
-
-    /// [`PreparedQuery::solve_incremental`] under a [`RouteBudget`]. The
-    /// projection is the *full-build* cost of the planned backend — an upper
-    /// bound on the warm-start cost, so a fitting estimate never risks the
-    /// deadline. When the estimate does not fit, the solve degrades down the
-    /// certified ladder **without touching the solver's retained state**: a
-    /// later unlimited solve still warm-starts from the last full answer.
-    pub fn route_incremental(
-        &self,
-        solver: &mut IncrementalSolver,
-        db: &GraphDb,
-        delta: Option<&[FactChange]>,
-        want_cut: bool,
-        budget: &RouteBudget,
-        router: &Router,
-    ) -> Result<(TieredOutcome, SolveMode), ResilienceError> {
-        self.route_incremental_traced(
-            solver,
-            db,
-            delta,
-            want_cut,
-            budget,
-            router,
-            &mut Trace::disabled(),
-        )
-    }
-
-    /// [`PreparedQuery::route_incremental`] with phase tracing.
-    #[allow(clippy::too_many_arguments)]
-    pub fn route_incremental_traced(
-        &self,
-        solver: &mut IncrementalSolver,
-        db: &GraphDb,
-        delta: Option<&[FactChange]>,
-        want_cut: bool,
-        budget: &RouteBudget,
-        router: &Router,
-        trace: &mut Trace,
-    ) -> Result<(TieredOutcome, SolveMode), ResilienceError> {
-        let planned = self.report.algorithm;
-        // ε ∈ IF(L) plans answer in constant time whatever the model says.
-        let estimated = match &self.strategy {
-            Strategy::EpsilonInfinite { .. } => 0,
-            _ => self.report.cost.estimate_us_for(db),
-        };
-        let (limit, shed) = router.effective_limit_us(budget);
-        let fits = limit.is_none_or(|l| estimated <= l);
-        if fits {
-            let (outcome, mode) =
-                self.solve_incremental_using(solver, db, delta, want_cut, trace)?;
-            let reason = match limit {
-                None => "no deadline or cost budget: planned backend ran".to_string(),
-                Some(l) => format!(
-                    "estimated {estimated}µs fits the {l}µs budget{}",
-                    if shed { " (overload-shed)" } else { "" }
-                ),
-            };
-            return Ok((
-                TieredOutcome {
-                    tier: outcome.algorithm.tier(),
-                    outcome,
-                    planned,
-                    degraded: false,
-                    shed,
-                    reason,
-                    estimated_cost_us: estimated,
-                },
-                mode,
-            ));
-        }
-        // lint: allow(panic-freedom, !fits implies the limit is present)
-        let limit_us = limit.expect("a budget the estimate exceeds must be finite");
-        // The degraded rungs never touch `solver.scratch`, so the retained
-        // flow survives for the next unlimited solve.
-        let tiered = self.degrade_using(db, want_cut, limit_us, shed, estimated, trace);
-        Ok((tiered, SolveMode::Full))
-    }
-
     fn solve_incremental_using(
         &self,
         solver: &mut IncrementalSolver,
@@ -1182,6 +989,27 @@ mod tests {
     use rpq_automata::Word;
     use rpq_graphdb::generate::word_path;
 
+    /// An unbudgeted, untraced incremental solve, unwrapped to the outcome.
+    fn incremental(
+        prepared: &PreparedQuery,
+        solver: &mut IncrementalSolver,
+        db: &GraphDb,
+        delta: Option<&[FactChange]>,
+        want_cut: bool,
+    ) -> Result<(ResilienceOutcome, SolveMode), ResilienceError> {
+        prepared
+            .route_incremental(
+                solver,
+                db,
+                delta,
+                want_cut,
+                &RouteBudget::UNLIMITED,
+                &Router::new(),
+                &mut Trace::disabled(),
+            )
+            .map(|(tiered, mode)| (tiered.outcome, mode))
+    }
+
     #[test]
     fn prepared_queries_report_their_plan() {
         let engine = Engine::new();
@@ -1253,9 +1081,16 @@ mod tests {
             .iter()
             .map(|w| word_path(&Word::from_str_word(w)))
             .collect();
-        let results = prepared.solve_batch(&dbs);
+        let results = prepared.route_batch(
+            &dbs,
+            1,
+            true,
+            &RouteBudget::UNLIMITED,
+            &Router::new(),
+            &mut Trace::disabled(),
+        );
         let values: Vec<_> =
-            results.into_iter().map(|r| r.unwrap().value.finite().unwrap()).collect();
+            results.into_iter().map(|r| r.unwrap().outcome.value.finite().unwrap()).collect();
         assert_eq!(values, vec![1, 1, 1, 0]);
     }
 
@@ -1268,23 +1103,47 @@ mod tests {
             .collect();
         for pattern in ["ax*b", "ab|bc", "abc|be", "aa"] {
             let prepared = engine.prepare(&Rpq::parse(pattern).unwrap()).unwrap();
-            let sequential: Vec<_> =
-                prepared.solve_batch(&dbs).into_iter().map(|r| r.unwrap().value).collect();
+            let sequential: Vec<_> = prepared
+                .route_batch(
+                    &dbs,
+                    1,
+                    true,
+                    &RouteBudget::UNLIMITED,
+                    &Router::new(),
+                    &mut Trace::disabled(),
+                )
+                .into_iter()
+                .map(|r| r.unwrap().outcome.value)
+                .collect();
             // jobs = 0 and 1 take the sequential path; 3 leaves a ragged tail
             // chunk; 16 exceeds the batch size and is clamped.
             for jobs in [0, 1, 2, 3, 16] {
                 let parallel: Vec<_> = prepared
-                    .solve_batch_parallel(&dbs, jobs)
+                    .route_batch(
+                        &dbs,
+                        jobs,
+                        true,
+                        &RouteBudget::UNLIMITED,
+                        &Router::new(),
+                        &mut Trace::disabled(),
+                    )
                     .into_iter()
-                    .map(|r| r.unwrap().value)
+                    .map(|r| r.unwrap().outcome.value)
                     .collect();
                 assert_eq!(parallel, sequential, "{pattern} with {jobs} jobs");
             }
         }
         // want_cut is honored per call on the parallel path too.
         let prepared = engine.prepare(&Rpq::parse("ax*b").unwrap()).unwrap();
-        for result in prepared.solve_batch_parallel_with_cut(&dbs, false, 4) {
-            assert!(result.unwrap().contingency_set.is_none());
+        for result in prepared.route_batch(
+            &dbs,
+            4,
+            false,
+            &RouteBudget::UNLIMITED,
+            &Router::new(),
+            &mut Trace::disabled(),
+        ) {
+            assert!(result.unwrap().outcome.contingency_set.is_none());
         }
     }
 
@@ -1339,7 +1198,16 @@ mod tests {
             assert!(phases.contains(&"plan"), "{pattern}: {phases:?}");
 
             let mut trace = Trace::enabled();
-            let traced = prepared.solve_with_cut_traced(&db, true, &mut trace).unwrap();
+            let traced = prepared
+                .route_with_cut_traced(
+                    &db,
+                    true,
+                    &RouteBudget::UNLIMITED,
+                    &Router::new(),
+                    &mut trace,
+                )
+                .unwrap()
+                .outcome;
             let untraced = prepared.solve_with_cut(&db, true).unwrap();
             assert_eq!(traced.value, untraced.value, "{pattern}");
             assert!(!trace.spans().is_empty(), "{pattern}: a traced solve must record phases");
@@ -1352,7 +1220,9 @@ mod tests {
         // Disabled traces record nothing and seal to zero.
         let mut trace = Trace::disabled();
         let prepared = engine.prepare(&Rpq::parse("ax*b").unwrap()).unwrap();
-        prepared.solve_with_cut_traced(&db, true, &mut trace).unwrap();
+        prepared
+            .route_with_cut_traced(&db, true, &RouteBudget::UNLIMITED, &Router::new(), &mut trace)
+            .unwrap();
         assert!(trace.spans().is_empty());
         assert_eq!(trace.seal(), 0);
     }
@@ -1364,7 +1234,14 @@ mod tests {
         let prepared = engine.prepare(&Rpq::parse("ax*b").unwrap()).unwrap();
         let dbs: Vec<GraphDb> = (0..8).map(|seed| flow_instance(4, 4, 2, 3, seed)).collect();
         let mut trace = Trace::enabled();
-        let results = prepared.solve_batch_parallel_with_cut_traced(&dbs, false, 4, &mut trace);
+        let results = prepared.route_batch(
+            &dbs,
+            4,
+            false,
+            &RouteBudget::UNLIMITED,
+            &Router::new(),
+            &mut trace,
+        );
         assert_eq!(results.len(), dbs.len());
         for result in results {
             result.unwrap();
@@ -1474,11 +1351,11 @@ mod tests {
         use rpq_graphdb::delta::{materialize, parse_patch};
         let engine = Engine::new();
         let prepared = engine.prepare(&Rpq::parse("ax*b").unwrap()).unwrap();
-        let mut solver = prepared.incremental_solver();
+        let mut solver = IncrementalSolver::new();
         let mut log = parse_patch("+ s a u\n+ u x v\n+ v x w\n+ w b t\n").unwrap();
         let db = materialize(&log);
         // First solve: nothing retained yet, full build.
-        let (out, mode) = prepared.solve_incremental(&mut solver, &db, None, true).unwrap();
+        let (out, mode) = incremental(&prepared, &mut solver, &db, None, true).unwrap();
         assert_eq!(mode, SolveMode::Full);
         assert_eq!(out.value, ResilienceValue::Finite(1));
         // Single-fact deltas ride the incremental path and agree with a
@@ -1487,8 +1364,7 @@ mod tests {
             let delta = parse_patch(patch).unwrap();
             log.extend(delta.iter().cloned());
             let db = materialize(&log);
-            let (out, mode) =
-                prepared.solve_incremental(&mut solver, &db, Some(&delta), true).unwrap();
+            let (out, mode) = incremental(&prepared, &mut solver, &db, Some(&delta), true).unwrap();
             assert_eq!(mode, SolveMode::Incremental, "{patch}");
             let fresh = prepared.solve(&db).unwrap();
             assert_eq!(out.value, fresh.value, "{patch}");
@@ -1509,8 +1385,7 @@ mod tests {
         let delta = parse_patch(&big).unwrap();
         log.extend(delta.iter().cloned());
         let db = materialize(&log);
-        let (out, mode) =
-            prepared.solve_incremental(&mut solver, &db, Some(&delta), false).unwrap();
+        let (out, mode) = incremental(&prepared, &mut solver, &db, Some(&delta), false).unwrap();
         assert_eq!(mode, SolveMode::Full);
         assert_eq!(out.value, prepared.solve(&db).unwrap().value);
         assert!(out.contingency_set.is_none());
@@ -1518,14 +1393,14 @@ mod tests {
         let delta = parse_patch("- a3 x a4").unwrap();
         log.extend(delta.iter().cloned());
         let db = materialize(&log);
-        let (out, mode) = prepared.solve_incremental(&mut solver, &db, Some(&delta), true).unwrap();
+        let (out, mode) = incremental(&prepared, &mut solver, &db, Some(&delta), true).unwrap();
         assert_eq!(mode, SolveMode::Full);
         assert_eq!(out.value, prepared.solve(&db).unwrap().value);
         // ...and the one after that patches it incrementally again.
         let delta = parse_patch("- a5 x a6\n+ a5 x a6").unwrap();
         log.extend(delta.iter().cloned());
         let db = materialize(&log);
-        let (out, mode) = prepared.solve_incremental(&mut solver, &db, Some(&delta), true).unwrap();
+        let (out, mode) = incremental(&prepared, &mut solver, &db, Some(&delta), true).unwrap();
         assert_eq!(mode, SolveMode::Incremental);
         assert_eq!(out.value, prepared.solve(&db).unwrap().value);
     }
@@ -1537,10 +1412,10 @@ mod tests {
         // Bag semantics: multiplicities are capacities; exogenous facts can
         // never be cut, so a fully exogenous path means +∞.
         let prepared = engine.prepare(&Rpq::parse("ax*b").unwrap().with_bag_semantics()).unwrap();
-        let mut solver = prepared.incremental_solver();
+        let mut solver = IncrementalSolver::new();
         let mut log = parse_patch("+ s a u 5\n+ u x v 3\n+ v b t 7\n").unwrap();
         let db = materialize(&log);
-        let (out, _) = prepared.solve_incremental(&mut solver, &db, None, true).unwrap();
+        let (out, _) = incremental(&prepared, &mut solver, &db, None, true).unwrap();
         assert_eq!(out.value, ResilienceValue::Finite(3));
         for (patch, expected) in [
             ("+ u x v 9", ResilienceValue::Finite(5)),
@@ -1553,23 +1428,22 @@ mod tests {
             let delta = parse_patch(patch).unwrap();
             log.extend(delta.iter().cloned());
             let db = materialize(&log);
-            let (out, mode) =
-                prepared.solve_incremental(&mut solver, &db, Some(&delta), true).unwrap();
+            let (out, mode) = incremental(&prepared, &mut solver, &db, Some(&delta), true).unwrap();
             assert_eq!(mode, SolveMode::Incremental, "{patch}");
             assert_eq!(out.value, expected, "{patch}");
             assert_eq!(out.value, prepared.solve(&db).unwrap().value, "{patch}");
         }
         // ε ∈ L: constant +∞, no network at all.
         let prepared = engine.prepare(&Rpq::parse("x*").unwrap()).unwrap();
-        let mut solver = prepared.incremental_solver();
-        let (out, mode) = prepared.solve_incremental(&mut solver, &db, None, true).unwrap();
+        let mut solver = IncrementalSolver::new();
+        let (out, mode) = incremental(&prepared, &mut solver, &db, None, true).unwrap();
         assert_eq!(mode, SolveMode::Incremental);
         assert!(out.value.is_infinite());
         // Non-local plans run the batch path and report Full.
         let prepared = engine.prepare(&Rpq::parse("ab|bc").unwrap()).unwrap();
-        let mut solver = prepared.incremental_solver();
+        let mut solver = IncrementalSolver::new();
         let db = materialize(&parse_patch("+ 1 a 2\n+ 2 b 3\n+ 3 c 4\n").unwrap());
-        let (out, mode) = prepared.solve_incremental(&mut solver, &db, None, true).unwrap();
+        let (out, mode) = incremental(&prepared, &mut solver, &db, None, true).unwrap();
         assert_eq!(mode, SolveMode::Full);
         assert_eq!(out.algorithm, Algorithm::BipartiteChain);
         assert_eq!(out.value, prepared.solve(&db).unwrap().value);
@@ -1593,7 +1467,7 @@ mod tests {
                 q = q.with_bag_semantics();
             }
             let prepared = engine.prepare(&q).unwrap();
-            let mut solver = prepared.incremental_solver();
+            let mut solver = IncrementalSolver::new();
             let mut rng = 0x0DDB1A5E5BAD5EEDu64 ^ pattern.len() as u64 ^ (bag as u64) << 32;
             let labels = ['a', 'x', 'b', 'd'];
             let mut log: Vec<FactChange> = Vec::new();
@@ -1617,7 +1491,7 @@ mod tests {
                 log.extend(delta.iter().cloned());
                 let db = materialize(&log);
                 let (out, mode) =
-                    prepared.solve_incremental(&mut solver, &db, Some(&delta), true).unwrap();
+                    incremental(&prepared, &mut solver, &db, Some(&delta), true).unwrap();
                 incremental_seen += (mode == SolveMode::Incremental) as usize;
                 let fresh = prepared.solve(&db).unwrap();
                 assert_eq!(out.value, fresh.value, "{pattern} bag={bag} round {round}");

@@ -5,9 +5,12 @@
 //! approximations (`"approx"`). This module turns tier choice into a
 //! cost-model decision instead of a per-call flag: every prepared plan
 //! carries a [`CostModel`] calibrated against the committed `BENCH_scaling` /
-//! `BENCH_flow_ablation` artifacts, and
-//! [`route`](crate::engine::PreparedQuery::route) compares the projected cost
-//! of the planned backend against the caller's [`RouteBudget`].
+//! `BENCH_flow_ablation` artifacts, and every routed solve
+//! ([`route_with_cut_traced`](crate::engine::PreparedQuery::route_with_cut_traced),
+//! [`route_batch`](crate::engine::PreparedQuery::route_batch),
+//! [`route_incremental`](crate::engine::PreparedQuery::route_incremental))
+//! compares the projected cost of the planned backend against the caller's
+//! [`RouteBudget`].
 //!
 //! * The estimate fits (or no budget was given) → the planned backend runs
 //!   and the answer is **bit-identical** to an unrouted solve.

@@ -286,8 +286,8 @@ impl ServerState {
     }
 
     /// Whether this request wants a contingency set: the per-request
-    /// `want_cut` override, or the server default. Applied per solve call
-    /// (`PreparedQuery::solve_with_cut`), never part of the cache key.
+    /// `want_cut` override, or the server default. Passed to each solve
+    /// call as its `want_cut` argument, never part of the cache key.
     fn want_cut_for(&self, spec: &QuerySpec) -> bool {
         spec.want_cut.unwrap_or(self.options.want_cut)
     }
@@ -469,14 +469,8 @@ impl ServerState {
             .collect();
         trace.end(parse_timer, "parse_db");
         let budget = Self::budget_for(spec);
-        let outcomes = prepared.route_batch_parallel_with_cut_traced(
-            &parsed,
-            want_cut,
-            jobs,
-            &budget,
-            &self.router,
-            &mut trace,
-        );
+        let outcomes =
+            prepared.route_batch(&parsed, jobs, want_cut, &budget, &self.router, &mut trace);
         let mut failures: u64 = 0;
         let results: Vec<Json> = slots
             .into_iter()
@@ -585,7 +579,7 @@ impl ServerState {
         let Some(refs) = snapshots else {
             // The inline form: the solve result fields merge into the
             // response envelope, like a plain `solve`.
-            return match self.store.route_traced(
+            return match self.store.solve(
                 name,
                 &snapshot_ref(snapshot),
                 &prepared,
@@ -631,7 +625,7 @@ impl ServerState {
         let results: Vec<Json> = refs
             .iter()
             .map(|sel| {
-                match self.store.route_traced(
+                match self.store.solve(
                     name,
                     &snapshot_ref(Some(sel)),
                     &prepared,

@@ -279,25 +279,14 @@ pub struct AppendResult {
 /// The result of a [`Store::solve`]: per-snapshot engine errors are carried
 /// *inside* (with the resolved snapshot id), so a batch over several
 /// snapshots can report each failure against the snapshot that caused it.
-pub struct StoreSolve {
+pub struct StoreRoute {
     /// The resolved snapshot id the solve bound to.
     pub snapshot: usize,
     /// The materialized database the solve ran against (needed to render
     /// contingency-set facts).
     pub graph: Arc<GraphDb>,
-    /// The engine outcome, or the engine error for this snapshot.
-    pub result: Result<(ResilienceOutcome, SolveMode), ResilienceError>,
-}
-
-/// The result of a [`Store::route`]: [`StoreSolve`] plus the routing
-/// decision and whether the cross-snapshot result cache answered.
-pub struct StoreRoute {
-    /// The resolved snapshot id the solve bound to.
-    pub snapshot: usize,
-    /// The materialized database the solve ran against.
-    pub graph: Arc<GraphDb>,
-    /// The routed outcome (tier, degradation, reason included), or the
-    /// engine error for this snapshot.
+    /// The routed outcome (tier, degradation, reason included) and how the
+    /// engine satisfied it, or the engine error for this snapshot.
     pub result: Result<(TieredOutcome, SolveMode), ResilienceError>,
     /// Whether the answer came from the cross-snapshot result cache (O(1),
     /// no engine work; always a full, non-degraded answer).
@@ -506,54 +495,13 @@ impl Store {
         Ok((offset, graph))
     }
 
-    /// Solves `prepared` against one snapshot of `name`, riding the
-    /// database's retained incremental state when the solve continues the
-    /// same plan at the same or a later snapshot. Engine errors come back
-    /// *inside* the [`StoreSolve`] together with the resolved snapshot id;
+    /// Solves `prepared` against one snapshot of `name` under a
+    /// [`RouteBudget`] (see [`rpq_resilience::router`]), with the
+    /// cross-snapshot result cache in front of the engine. The solve rides
+    /// the database's retained incremental state when it continues the same
+    /// plan at the same or a later snapshot. Engine errors come back
+    /// *inside* the [`StoreRoute`] together with the resolved snapshot id;
     /// only store-level problems (unknown database / snapshot) are `Err`.
-    pub fn solve(
-        &self,
-        name: &str,
-        snapshot: &SnapshotRef,
-        prepared: &Arc<PreparedQuery>,
-        want_cut: bool,
-    ) -> Result<StoreSolve, StoreError> {
-        self.solve_traced(name, snapshot, prepared, want_cut, &mut Trace::disabled())
-    }
-
-    /// [`Store::solve`] with phase tracing: when `trace` is enabled the
-    /// snapshot resolution + materialization is recorded as a `materialize`
-    /// span and the engine records its own solve phases. A disabled trace
-    /// makes this identical to [`Store::solve`].
-    pub fn solve_traced(
-        &self,
-        name: &str,
-        snapshot: &SnapshotRef,
-        prepared: &Arc<PreparedQuery>,
-        want_cut: bool,
-        trace: &mut Trace,
-    ) -> Result<StoreSolve, StoreError> {
-        let fingerprint = prepared.rpq().language().language_fingerprint();
-        self.route_traced(
-            name,
-            snapshot,
-            prepared,
-            fingerprint,
-            want_cut,
-            &RouteBudget::UNLIMITED,
-            &Router::new(),
-            trace,
-        )
-        .map(|routed| StoreSolve {
-            snapshot: routed.snapshot,
-            graph: routed.graph,
-            result: routed.result.map(|(tiered, mode)| (tiered.outcome, mode)),
-        })
-    }
-
-    /// [`Store::solve`] under a [`RouteBudget`] (see
-    /// [`rpq_resilience::router`]), with the cross-snapshot result cache in
-    /// front of the engine.
     ///
     /// `fingerprint` is the query's
     /// [`language_fingerprint`](rpq_automata::Language::language_fingerprint)
@@ -565,32 +513,12 @@ impl Store {
     /// satisfies any deadline and is never degraded). Only full-fidelity
     /// (non-degraded) outcomes are cached; degraded bounds depend on the
     /// caller's budget and are recomputed per request.
+    ///
+    /// When `trace` is enabled the snapshot resolution + materialization is
+    /// recorded as a `materialize` span and the engine records its own solve
+    /// phases.
     #[allow(clippy::too_many_arguments)]
-    pub fn route(
-        &self,
-        name: &str,
-        snapshot: &SnapshotRef,
-        prepared: &Arc<PreparedQuery>,
-        fingerprint: u64,
-        want_cut: bool,
-        budget: &RouteBudget,
-        router: &Router,
-    ) -> Result<StoreRoute, StoreError> {
-        self.route_traced(
-            name,
-            snapshot,
-            prepared,
-            fingerprint,
-            want_cut,
-            budget,
-            router,
-            &mut Trace::disabled(),
-        )
-    }
-
-    /// [`Store::route`] with phase tracing.
-    #[allow(clippy::too_many_arguments)]
-    pub fn route_traced(
+    pub fn solve(
         &self,
         name: &str,
         snapshot: &SnapshotRef,
@@ -650,15 +578,36 @@ impl Store {
             }
             self.result_misses.fetch_add(1, Ordering::Relaxed);
             let Database { log, session, results, .. } = &mut *db;
-            let result = match session {
-                Some(s) if Arc::ptr_eq(&s.plan, prepared) && s.offset <= offset => {
-                    // lint: allow(panic-freedom, session offsets never pass the resolve-checked head)
-                    let delta = &log[s.offset..offset];
+            // The frontier of a session retained for this very plan.
+            let frontier =
+                session.as_ref().filter(|s| Arc::ptr_eq(&s.plan, prepared)).map(|s| s.offset);
+            let result = match frontier {
+                Some(frontier) if frontier > offset => {
+                    // A solve *behind* the session's frontier (an old
+                    // snapshot): answer one-shot, keep the retained state
+                    // parked at its frontier for the next forward solve.
                     // lint: allow(lock-discipline, solves serialize per database under its own lock by design)
-                    let result = prepared.route_incremental_traced(
+                    let t = prepared.route_with_cut_traced(&graph, want_cut, budget, router, trace);
+                    t.map(|tiered| (tiered, SolveMode::Full))
+                }
+                _ => {
+                    // Continue the session with the fact delta since its
+                    // frontier, or start a fresh one for a different plan.
+                    // lint: allow(panic-freedom, session offsets never pass the resolve-checked head)
+                    let delta = frontier.map(|frontier| &log[frontier..offset]);
+                    let s = match session {
+                        Some(s) if frontier.is_some() => s,
+                        _ => session.insert(SolveSession {
+                            plan: Arc::clone(prepared),
+                            offset,
+                            solver: IncrementalSolver::new(),
+                        }),
+                    };
+                    // lint: allow(lock-discipline, solves serialize per database under its own lock by design)
+                    let result = prepared.route_incremental(
                         &mut s.solver,
                         &graph,
-                        Some(delta),
+                        delta,
                         want_cut,
                         budget,
                         router,
@@ -670,33 +619,6 @@ impl Store {
                     if matches!(&result, Ok((t, _)) if !t.degraded) {
                         s.offset = offset;
                     }
-                    result
-                }
-                Some(s) if Arc::ptr_eq(&s.plan, prepared) => {
-                    // A solve *behind* the session's frontier (an old
-                    // snapshot): answer one-shot, keep the retained state
-                    // parked at its frontier for the next forward solve.
-                    prepared
-                        .route_with_cut_traced(&graph, want_cut, budget, router, trace)
-                        .map(|t| (t, SolveMode::Full))
-                }
-                _ => {
-                    let mut s = SolveSession {
-                        plan: Arc::clone(prepared),
-                        offset,
-                        solver: IncrementalSolver::new(),
-                    };
-                    // lint: allow(lock-discipline, solves serialize per database under its own lock by design)
-                    let result = prepared.route_incremental_traced(
-                        &mut s.solver,
-                        &graph,
-                        None,
-                        want_cut,
-                        budget,
-                        router,
-                        trace,
-                    );
-                    *session = Some(s);
                     result
                 }
             };
@@ -856,9 +778,22 @@ mod tests {
         Arc::new(Engine::new().prepare(&Rpq::parse(pattern).unwrap()).unwrap())
     }
 
+    /// An unbudgeted, untraced [`Store::solve`].
+    fn solve(
+        store: &Store,
+        name: &str,
+        at: &SnapshotRef,
+        plan: &Arc<PreparedQuery>,
+        want_cut: bool,
+    ) -> Result<StoreRoute, StoreError> {
+        let fingerprint = plan.rpq().language().language_fingerprint();
+        let (budget, router) = (RouteBudget::UNLIMITED, Router::new());
+        store.solve(name, at, plan, fingerprint, want_cut, &budget, &router, &mut Trace::disabled())
+    }
+
     fn value(store: &Store, name: &str, at: SnapshotRef, plan: &Arc<PreparedQuery>) -> u128 {
-        let solve = store.solve(name, &at, plan, false).unwrap();
-        match solve.result.unwrap().0.value {
+        let solve = solve(store, name, &at, plan, false).unwrap();
+        match solve.result.unwrap().0.outcome.value {
             ResilienceValue::Finite(v) => v,
             ResilienceValue::Infinite => u128::MAX,
         }
@@ -909,9 +844,9 @@ mod tests {
         // A different plan replaces the session (full solve), then resumes
         // incrementally.
         let other = prepared("ab|ad");
-        store.solve("g", &SnapshotRef::Head, &other, false).unwrap();
+        solve(&store, "g", &SnapshotRef::Head, &other, false).unwrap();
         store.patch("g", "+ s a z\n").unwrap();
-        let solve = store.solve("g", &SnapshotRef::Head, &other, false).unwrap();
+        let solve = solve(&store, "g", &SnapshotRef::Head, &other, false).unwrap();
         assert_eq!(solve.result.unwrap().1, SolveMode::Incremental);
     }
 
@@ -942,7 +877,7 @@ mod tests {
         assert_eq!(store.stats().result_hits, 2);
         // A different language is a different key.
         let other = prepared("ab|ad");
-        let solve = store.solve("g", &pin, &other, false).unwrap();
+        let solve = solve(&store, "g", &pin, &other, false).unwrap();
         assert!(solve.result.is_ok());
         assert_eq!(store.stats().result_misses, 2);
         // `db_put` rewrites the log, so every cached result is dropped.
@@ -958,22 +893,22 @@ mod tests {
         let plan = prepared("ax*b");
         store.put("g", "s a u\nu x v\nv b t\n").unwrap();
         // Cached without a cut: a want_cut solve must recompute…
-        assert!(store
-            .solve("g", &SnapshotRef::Head, &plan, false)
+        assert!(solve(&store, "g", &SnapshotRef::Head, &plan, false)
             .unwrap()
             .result
             .unwrap()
             .0
+            .outcome
             .contingency_set
             .is_none());
-        let cut = store.solve("g", &SnapshotRef::Head, &plan, true).unwrap();
-        assert!(cut.result.unwrap().0.contingency_set.is_some());
+        let cut = solve(&store, "g", &SnapshotRef::Head, &plan, true).unwrap();
+        assert!(cut.result.unwrap().0.outcome.contingency_set.is_some());
         assert_eq!(store.stats().result_misses, 2);
         // …after which the upgraded entry serves both shapes from the cache.
-        let with_cut = store.solve("g", &SnapshotRef::Head, &plan, true).unwrap();
-        assert!(with_cut.result.unwrap().0.contingency_set.is_some());
-        let without = store.solve("g", &SnapshotRef::Head, &plan, false).unwrap();
-        assert!(without.result.unwrap().0.contingency_set.is_none());
+        let with_cut = solve(&store, "g", &SnapshotRef::Head, &plan, true).unwrap();
+        assert!(with_cut.result.unwrap().0.outcome.contingency_set.is_some());
+        let without = solve(&store, "g", &SnapshotRef::Head, &plan, false).unwrap();
+        assert!(without.result.unwrap().0.outcome.contingency_set.is_none());
         assert_eq!(store.stats().result_hits, 2);
     }
 
@@ -986,7 +921,7 @@ mod tests {
         // A zero-microsecond budget cannot fit any backend: the store must
         // still answer, with certified bounds and the degradation reported.
         let routed = store
-            .route(
+            .solve(
                 "g",
                 &SnapshotRef::Head,
                 &plan,
@@ -994,6 +929,7 @@ mod tests {
                 false,
                 &RouteBudget::with_cost_budget_us(0),
                 &Router::new(),
+                &mut Trace::disabled(),
             )
             .unwrap();
         let (tiered, _) = routed.result.unwrap();
@@ -1002,13 +938,60 @@ mod tests {
         assert!(!routed.result_cached);
         // Degraded answers are budget-dependent: they must not poison the
         // cache for an unlimited caller.
-        let full = store.solve("g", &SnapshotRef::Head, &plan, false).unwrap();
-        let (outcome, _) = full.result.unwrap();
-        assert_eq!(outcome.value, ResilienceValue::Finite(1));
+        let full = solve(&store, "g", &SnapshotRef::Head, &plan, false).unwrap();
+        let (tiered, _) = full.result.unwrap();
+        assert_eq!(tiered.outcome.value, ResilienceValue::Finite(1));
         assert_eq!(store.stats().result_hits, 0);
         // And the unlimited answer is cached as usual.
         assert_eq!(value(&store, "g", SnapshotRef::Head, &plan), 1);
         assert_eq!(store.stats().result_hits, 1);
+    }
+
+    #[test]
+    fn a_degraded_answer_keeps_the_retained_flow_for_the_next_solve() {
+        let store = Store::new(StoreConfig::default());
+        let plan = prepared("ax*b");
+        store.put("g", "s a u\nu x v\nv b t\n").unwrap();
+        // An unlimited solve builds the retained flow network.
+        let first = solve(&store, "g", &SnapshotRef::Head, &plan, true).unwrap();
+        assert_eq!(first.result.unwrap().1, SolveMode::Full);
+        store.patch("g", "+ u x w\n+ w b t\n").unwrap();
+        // A zero budget degrades: certified bounds, no engine solve, and the
+        // retained flow stays parked at the first snapshot.
+        let fingerprint = plan.rpq().language().language_fingerprint();
+        let degraded = store
+            .solve(
+                "g",
+                &SnapshotRef::Head,
+                &plan,
+                fingerprint,
+                true,
+                &RouteBudget::with_cost_budget_us(0),
+                &Router::new(),
+                &mut Trace::disabled(),
+            )
+            .unwrap();
+        let (tiered, mode) = degraded.result.unwrap();
+        assert!(tiered.degraded, "{}", tiered.reason);
+        assert_eq!(mode, SolveMode::Full);
+        // The next unlimited solve resumes from that flow across both
+        // patches and answers exactly what a fresh solve answers.
+        store.patch("g", "+ s a z\n+ z b t\n").unwrap();
+        let resumed = solve(&store, "g", &SnapshotRef::Head, &plan, true).unwrap();
+        let (tiered, mode) = resumed.result.unwrap();
+        assert_eq!(mode, SolveMode::Incremental);
+        assert!(!tiered.degraded);
+        let fresh = plan.solve(&resumed.graph).unwrap();
+        assert_eq!(tiered.outcome.value, fresh.value);
+        assert_eq!(tiered.outcome.value, ResilienceValue::Finite(2));
+        let cut: std::collections::BTreeSet<_> =
+            tiered.outcome.contingency_set.expect("cut requested").into_iter().collect();
+        assert!(plan.rpq().is_contingency_set(&resumed.graph, &cut));
+        let handle = store.database("g").unwrap();
+        let db = handle.lock().unwrap();
+        let session = db.session.as_ref().expect("a retained session");
+        assert_eq!(session.offset, resumed.snapshot);
+        assert_eq!(session.solver.check_consistency(), Ok(()));
     }
 
     #[test]
@@ -1107,9 +1090,9 @@ mod tests {
                     let name = format!("t{i}");
                     store.put(&name, "s a u\nu x v\nv b t\n").unwrap();
                     store.patch(&name, "- u x v\n").unwrap();
-                    let solve = store.solve(&name, &SnapshotRef::Head, &plan, true).unwrap();
-                    let (outcome, _) = solve.result.unwrap();
-                    assert_eq!(outcome.value, ResilienceValue::Finite(0));
+                    let solve = solve(&store, &name, &SnapshotRef::Head, &plan, true).unwrap();
+                    let (tiered, _) = solve.result.unwrap();
+                    assert_eq!(tiered.outcome.value, ResilienceValue::Finite(0));
                     assert_eq!(value(&store, "g", SnapshotRef::Head, &plan), 1);
                 })
             })

@@ -11,8 +11,9 @@
 //! Run with `cargo run --example hardness_certificates`.
 
 use rpq::automata::Language;
-use rpq::resilience::algorithms::{solve_with, Algorithm};
+use rpq::resilience::algorithms::Algorithm;
 use rpq::resilience::classify::classify;
+use rpq::resilience::engine::Engine;
 use rpq::resilience::gadgets::families::find_gadget;
 use rpq::resilience::reductions::{subdivision_vertex_cover_number, UndirectedGraph};
 use rpq::resilience::rpq::{ResilienceValue, Rpq};
@@ -85,7 +86,8 @@ fn main() {
     let graph = UndirectedGraph::cycle(4);
     let encoding = certificate.gadget.encode_graph(&graph);
     let query = Rpq::new(language);
-    let resilience = solve_with(Algorithm::ExactBranchAndBound, &query, &encoding).unwrap().value;
+    let resilience =
+        Engine::new().solve_with(Algorithm::ExactBranchAndBound, &query, &encoding).unwrap().value;
     let expected = subdivision_vertex_cover_number(&graph, ell);
     println!(
         "  C4 encoding: {} facts, resilience = {resilience}, vc(C4) + m(ℓ−1)/2 = {expected}",

@@ -1,4 +1,4 @@
-//! The unified engine dispatcher: `algorithms::solve` must route each
+//! The unified engine dispatcher: `Engine::solve` must route each
 //! tractable family (local, bipartite chain, one-dangling) to its polynomial
 //! algorithm and agree with the exact branch-and-bound backend on small random
 //! instances — the workspace-level contract behind funneling the CLI, tests,
@@ -10,8 +10,9 @@ use common::FAMILIES;
 use rpq::automata::{Alphabet, Language, Word};
 use rpq::flow::FlowAlgorithm;
 use rpq::graphdb::generate::{random_labeled_graph, word_path};
-use rpq::resilience::algorithms::{solve, solve_with, Algorithm, ResilienceError};
-use rpq::resilience::engine::{Engine, SolveOptions};
+use rpq::resilience::algorithms::{Algorithm, ResilienceError};
+use rpq::resilience::engine::{Engine, IncrementalSolver, SolveOptions};
+use rpq::resilience::obs::Trace;
 use rpq::resilience::router::{RouteBudget, Router};
 use rpq::resilience::rpq::{ResilienceValue, Rpq};
 
@@ -23,14 +24,16 @@ fn solve_routes_each_family_to_its_algorithm_and_matches_exact() {
             let query = Rpq::new(Language::parse(pattern).unwrap());
             for seed in 0..6 {
                 let db = random_labeled_graph(4, 8, &alphabet, seed);
-                let outcome = solve(&query, &db).unwrap();
+                let outcome = Engine::new().solve(&query, &db).unwrap();
                 assert_eq!(
                     outcome.algorithm, expected,
                     "{pattern} must dispatch to {expected}, got {}",
                     outcome.algorithm
                 );
-                let reference =
-                    solve_with(Algorithm::ExactBranchAndBound, &query, &db).unwrap().value;
+                let reference = Engine::new()
+                    .solve_with(Algorithm::ExactBranchAndBound, &query, &db)
+                    .unwrap()
+                    .value;
                 assert_eq!(outcome.value, reference, "{pattern}, seed {seed}");
                 // Exact outcomes never carry approximation bounds.
                 assert!(outcome.bounds.is_none());
@@ -54,7 +57,7 @@ fn prepared_queries_agree_with_the_legacy_dispatcher_on_the_corpus() {
             assert_eq!(prepared.plan().algorithm, expected, "{pattern}");
             for seed in 0..6 {
                 let db = random_labeled_graph(4, 8, &alphabet, seed);
-                let legacy = solve(&query, &db).unwrap();
+                let legacy = Engine::new().solve(&query, &db).unwrap();
                 let fresh = prepared.solve(&db).unwrap();
                 assert_eq!(fresh, legacy, "{pattern}, seed {seed}");
             }
@@ -73,7 +76,11 @@ fn prepared_forced_backends_agree_with_legacy_solve_with() {
             Err(e) => {
                 // The legacy path must refuse the language identically.
                 let db = random_labeled_graph(4, 7, &alphabet, 0);
-                assert_eq!(solve_with(algorithm, &query, &db).unwrap_err(), e, "{algorithm}");
+                assert_eq!(
+                    Engine::new().solve_with(algorithm, &query, &db).unwrap_err(),
+                    e,
+                    "{algorithm}"
+                );
                 continue;
             }
         };
@@ -81,7 +88,7 @@ fn prepared_forced_backends_agree_with_legacy_solve_with() {
             let db = random_labeled_graph(4, 7, &alphabet, seed);
             assert_eq!(
                 prepared.solve(&db).unwrap(),
-                solve_with(algorithm, &query, &db).unwrap(),
+                Engine::new().solve_with(algorithm, &query, &db).unwrap(),
                 "{algorithm}, seed {seed}"
             );
         }
@@ -95,7 +102,7 @@ fn oversized_enumeration_is_a_typed_error_not_a_panic() {
     let word = Word::from_letters(std::iter::repeat_n('a'.into(), 30));
     let db = word_path(&word);
     let query = Rpq::parse("aa").unwrap();
-    match solve_with(Algorithm::ExactEnumeration, &query, &db) {
+    match Engine::new().solve_with(Algorithm::ExactEnumeration, &query, &db) {
         Err(ResilienceError::InstanceTooLarge { facts: 30, limit: 24 }) => {}
         other => panic!("expected InstanceTooLarge, got {other:?}"),
     }
@@ -168,12 +175,23 @@ fn routing_with_an_unlimited_budget_agrees_with_exact_enumeration() {
             let prepared = engine.prepare(&query).unwrap();
             for seed in 0..4 {
                 let db = random_labeled_graph(4, 8, &alphabet, seed);
-                let tiered = prepared.route(&db, &RouteBudget::UNLIMITED).unwrap();
+                let tiered = prepared
+                    .route_with_cut_traced(
+                        &db,
+                        true,
+                        &RouteBudget::UNLIMITED,
+                        &Router::new(),
+                        &mut Trace::disabled(),
+                    )
+                    .unwrap();
                 assert!(!tiered.degraded, "{pattern}, seed {seed}: {}", tiered.reason);
                 assert_eq!(tiered.tier, expected.tier(), "{pattern}, seed {seed}");
                 assert_eq!(tiered.outcome.algorithm, expected, "{pattern}, seed {seed}");
                 assert_eq!(tiered.outcome, prepared.solve(&db).unwrap(), "{pattern}, seed {seed}");
-                let oracle = solve_with(Algorithm::ExactEnumeration, &query, &db).unwrap().value;
+                let oracle = Engine::new()
+                    .solve_with(Algorithm::ExactEnumeration, &query, &db)
+                    .unwrap()
+                    .value;
                 assert_eq!(tiered.outcome.value, oracle, "{pattern}, seed {seed}");
             }
         }
@@ -195,7 +213,9 @@ fn an_impossible_budget_degrades_to_certified_bounds_with_the_tier_reported() {
             let prepared = engine.prepare(&query).unwrap();
             for seed in 0..4 {
                 let db = random_labeled_graph(4, 8, &alphabet, seed);
-                let tiered = prepared.route_with_cut(&db, true, &budget, &router).unwrap();
+                let tiered = prepared
+                    .route_with_cut_traced(&db, true, &budget, &router, &mut Trace::disabled())
+                    .unwrap();
                 assert!(tiered.degraded, "{pattern}, seed {seed}: {}", tiered.reason);
                 assert_eq!(tiered.tier, "approx", "{pattern}, seed {seed}");
                 // Degraded answers stay *certified*: either trivially exact
@@ -229,9 +249,10 @@ fn every_applicable_backend_agrees_or_sandwiches_the_exact_value() {
     let query = Rpq::new(Language::parse("aa").unwrap());
     for seed in 0..4 {
         let db = random_labeled_graph(4, 7, &alphabet, seed);
-        let exact = solve_with(Algorithm::ExactBranchAndBound, &query, &db).unwrap().value;
+        let exact =
+            Engine::new().solve_with(Algorithm::ExactBranchAndBound, &query, &db).unwrap().value;
         for algorithm in Algorithm::ALL {
-            let Ok(outcome) = solve_with(algorithm, &query, &db) else {
+            let Ok(outcome) = Engine::new().solve_with(algorithm, &query, &db) else {
                 continue; // backend legitimately refuses the language
             };
             match outcome.bounds {
@@ -241,6 +262,81 @@ fn every_applicable_backend_agrees_or_sandwiches_the_exact_value() {
                 Some((lower, upper)) => {
                     let exact = exact.finite().unwrap();
                     assert!(lower <= exact && exact <= upper, "{algorithm}, seed {seed}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn every_routed_shape_makes_the_same_decision_and_answer() {
+    // The router's fit-or-degrade policy lives in one place: one database
+    // routed alone, inside a sequential or threaded batch, or through a
+    // fresh incremental solver must come back with the same outcome, tier,
+    // degradation flag, reason and cost estimate — under a budget every
+    // backend fits and under one none does, with and without a witness.
+    let engine = Engine::new();
+    let router = Router::new();
+    for &(alphabet, patterns, _) in FAMILIES {
+        let alphabet = Alphabet::from_chars(alphabet);
+        for pattern in patterns {
+            let prepared = engine.prepare(&Rpq::new(Language::parse(pattern).unwrap())).unwrap();
+            let dbs: Vec<_> =
+                (0..4).map(|seed| random_labeled_graph(4, 8, &alphabet, seed)).collect();
+            for budget in [RouteBudget::UNLIMITED, RouteBudget::with_cost_budget_us(0)] {
+                for want_cut in [true, false] {
+                    let case = format!("{pattern}, {budget:?}, want_cut {want_cut}");
+                    let single: Vec<_> = dbs
+                        .iter()
+                        .map(|db| {
+                            prepared
+                                .route_with_cut_traced(
+                                    db,
+                                    want_cut,
+                                    &budget,
+                                    &router,
+                                    &mut Trace::disabled(),
+                                )
+                                .unwrap()
+                        })
+                        .collect();
+                    for jobs in [1, 3] {
+                        let batch: Vec<_> = prepared
+                            .route_batch(
+                                &dbs,
+                                jobs,
+                                want_cut,
+                                &budget,
+                                &router,
+                                &mut Trace::disabled(),
+                            )
+                            .into_iter()
+                            .map(Result::unwrap)
+                            .collect();
+                        assert_eq!(batch, single, "{case}, {jobs} jobs");
+                    }
+                    for (seed, db) in dbs.iter().enumerate() {
+                        let (incremental, _) = prepared
+                            .route_incremental(
+                                &mut IncrementalSolver::new(),
+                                db,
+                                None,
+                                want_cut,
+                                &budget,
+                                &router,
+                                &mut Trace::disabled(),
+                            )
+                            .unwrap();
+                        let alone = &single[seed];
+                        assert_eq!(incremental.outcome, alone.outcome, "{case}, seed {seed}");
+                        assert_eq!(incremental.tier, alone.tier, "{case}, seed {seed}");
+                        assert_eq!(incremental.degraded, alone.degraded, "{case}, seed {seed}");
+                        assert_eq!(incremental.reason, alone.reason, "{case}, seed {seed}");
+                        assert_eq!(
+                            incremental.estimated_cost_us, alone.estimated_cost_us,
+                            "{case}, seed {seed}"
+                        );
+                    }
                 }
             }
         }

@@ -8,17 +8,18 @@ use proptest::prelude::*;
 use rpq::automata::{Alphabet, Language, Word};
 use rpq::graphdb::generate::{random_labeled_graph, word_path};
 use rpq::graphdb::{FactId, GraphDb};
-use rpq::resilience::algorithms::{solve, solve_with, Algorithm};
+use rpq::resilience::algorithms::Algorithm;
+use rpq::resilience::engine::Engine;
 use rpq::resilience::rpq::{ResilienceValue, Rpq};
 
 /// Ground truth through the engine dispatcher (branch and bound backend).
 fn exact_value(q: &Rpq, db: &GraphDb) -> ResilienceValue {
-    solve_with(Algorithm::ExactBranchAndBound, q, db).unwrap().value
+    Engine::new().solve_with(Algorithm::ExactBranchAndBound, q, db).unwrap().value
 }
 
 /// Ground truth through the engine dispatcher (subset enumeration backend).
 fn enumeration_value(q: &Rpq, db: &GraphDb) -> ResilienceValue {
-    solve_with(Algorithm::ExactEnumeration, q, db).unwrap().value
+    Engine::new().solve_with(Algorithm::ExactEnumeration, q, db).unwrap().value
 }
 
 #[test]
@@ -53,7 +54,7 @@ fn fully_protected_walks_give_infinite_resilience() {
         db.set_exogenous(fact, true);
     }
     let query = Rpq::parse("ax*b").unwrap();
-    assert_eq!(solve(&query, &db).unwrap().value, ResilienceValue::Infinite);
+    assert_eq!(Engine::new().solve(&query, &db).unwrap().value, ResilienceValue::Infinite);
     assert_eq!(exact_value(&query, &db), ResilienceValue::Infinite);
     assert_eq!(enumeration_value(&query, &db), ResilienceValue::Infinite);
 }
@@ -73,24 +74,24 @@ fn protected_facts_redirect_the_cut() {
     let fb = db.add_fact_with_multiplicity(v, 'b'.into(), t, 3);
     let query = Rpq::parse("ax*b").unwrap().with_bag_semantics();
     // Unprotected: the a-fact (cost 1) is the optimal cut.
-    let outcome = solve_with(Algorithm::Local, &query, &db).unwrap();
+    let outcome = Engine::new().solve_with(Algorithm::Local, &query, &db).unwrap();
     assert_eq!(outcome.value, ResilienceValue::Finite(1));
     assert_eq!(outcome.contingency_set.unwrap(), vec![fa]);
     // Protect the a-fact: the cut must use the b-fact (cost 3), never fa.
     db.set_exogenous(fa, true);
-    let outcome = solve_with(Algorithm::Local, &query, &db).unwrap();
+    let outcome = Engine::new().solve_with(Algorithm::Local, &query, &db).unwrap();
     assert_eq!(outcome.value, ResilienceValue::Finite(3));
     let cut: Vec<FactId> = outcome.contingency_set.unwrap();
     assert_eq!(cut, vec![fb]);
     assert_eq!(exact_value(&query, &db), ResilienceValue::Finite(3));
     // Protect the b-fact as well: only the expensive x-fact remains cuttable.
     db.set_exogenous(fb, true);
-    let outcome = solve_with(Algorithm::Local, &query, &db).unwrap();
+    let outcome = Engine::new().solve_with(Algorithm::Local, &query, &db).unwrap();
     assert_eq!(outcome.value, ResilienceValue::Finite(5));
     assert_eq!(outcome.contingency_set.unwrap(), vec![fx]);
     // Protect everything: the violation can no longer be broken.
     db.set_exogenous(fx, true);
-    assert_eq!(solve(&query, &db).unwrap().value, ResilienceValue::Infinite);
+    assert_eq!(Engine::new().solve(&query, &db).unwrap().value, ResilienceValue::Infinite);
     assert_eq!(exact_value(&query, &db), ResilienceValue::Infinite);
 }
 
@@ -102,9 +103,9 @@ fn chain_algorithm_supports_exogenous_facts() {
     let b = db.add_fact_by_names("v", 'b', "w");
     let c = db.add_fact_by_names("w", 'c', "x");
     let query = Rpq::parse("ab|bc").unwrap();
-    assert_eq!(solve(&query, &db).unwrap().value, ResilienceValue::Finite(1));
+    assert_eq!(Engine::new().solve(&query, &db).unwrap().value, ResilienceValue::Finite(1));
     db.set_exogenous(b, true);
-    let outcome = solve_with(Algorithm::BipartiteChain, &query, &db).unwrap();
+    let outcome = Engine::new().solve_with(Algorithm::BipartiteChain, &query, &db).unwrap();
     // Both ab and bc must be broken without touching the b-fact: remove a and c.
     assert_eq!(outcome.value, ResilienceValue::Finite(2));
     assert_eq!(exact_value(&query, &db), ResilienceValue::Finite(2));
@@ -115,7 +116,7 @@ fn chain_algorithm_supports_exogenous_facts() {
     db2.set_exogenous(lone, true);
     let query2 = Rpq::parse("a|bc").unwrap();
     assert_eq!(
-        solve_with(Algorithm::BipartiteChain, &query2, &db2).unwrap().value,
+        Engine::new().solve_with(Algorithm::BipartiteChain, &query2, &db2).unwrap().value,
         ResilienceValue::Infinite
     );
 }
@@ -127,11 +128,11 @@ fn one_dangling_falls_back_to_exact_with_exogenous_facts() {
     db.set_exogenous(first, true);
     let query = Rpq::parse("abc|be").unwrap();
     // The dispatcher must not use the one-dangling rewriting here.
-    let outcome = solve(&query, &db).unwrap();
+    let outcome = Engine::new().solve(&query, &db).unwrap();
     assert_eq!(outcome.algorithm, Algorithm::ExactBranchAndBound);
     assert_eq!(outcome.value, enumeration_value(&query, &db));
     // Requesting the rewriting explicitly is rejected.
-    assert!(solve_with(Algorithm::OneDangling, &query, &db).is_err());
+    assert!(Engine::new().solve_with(Algorithm::OneDangling, &query, &db).is_err());
 }
 
 proptest! {
@@ -155,7 +156,7 @@ proptest! {
             }
         }
         let query = Rpq::new(Language::parse(pattern).unwrap());
-        let fast = solve(&query, &db).unwrap();
+        let fast = Engine::new().solve(&query, &db).unwrap();
         let reference = enumeration_value(&query, &db);
         prop_assert_eq!(fast.value, reference, "pattern {} seed {}", pattern, seed);
         // Any returned contingency set avoids exogenous facts and really works.

@@ -5,7 +5,8 @@
 //! satisfy the Proposition 4.2 identity exactly.
 
 use rpq::automata::Language;
-use rpq::resilience::algorithms::{solve_with, Algorithm};
+use rpq::resilience::algorithms::Algorithm;
+use rpq::resilience::engine::Engine;
 use rpq::resilience::gadgets::families::{find_gadget, GadgetFamily};
 use rpq::resilience::reductions::{subdivision_vertex_cover_number, UndirectedGraph};
 use rpq::resilience::rpq::{ResilienceValue, Rpq};
@@ -74,8 +75,10 @@ fn family_gadgets_reproduce_the_vertex_cover_identity() {
         let query = Rpq::new(language);
         for graph in &graphs {
             let encoding = found.gadget.encode_graph(graph);
-            let resilience =
-                solve_with(Algorithm::ExactBranchAndBound, &query, &encoding).unwrap().value;
+            let resilience = Engine::new()
+                .solve_with(Algorithm::ExactBranchAndBound, &query, &encoding)
+                .unwrap()
+                .value;
             let expected = subdivision_vertex_cover_number(graph, ell);
             assert_eq!(
                 resilience,

@@ -1,6 +1,6 @@
 //! Integration test: incremental solves under randomized edit churn.
 //!
-//! Drives `PreparedQuery::solve_incremental` through 200 random
+//! Drives `PreparedQuery::route_incremental` through 200 random
 //! insert/delete deltas per query family and checks, at **every** snapshot,
 //! that the incrementally patched answer agrees with a fresh full solve —
 //! value, contingency-set validity and optimality (the witness cost equals
@@ -14,8 +14,10 @@ use std::collections::BTreeSet;
 
 use rpq::automata::alphabet::Letter;
 use rpq::graphdb::delta::{materialize, FactChange};
-use rpq::resilience::algorithms::{solve_with, Algorithm};
-use rpq::resilience::engine::{Engine, SolveMode};
+use rpq::resilience::algorithms::Algorithm;
+use rpq::resilience::engine::{Engine, IncrementalSolver, SolveMode};
+use rpq::resilience::obs::Trace;
+use rpq::resilience::router::{RouteBudget, Router};
 use rpq::resilience::rpq::{ResilienceValue, Rpq};
 
 /// Deterministic xorshift64* PRNG: the churn sequence must be reproducible.
@@ -66,7 +68,7 @@ fn churn(pattern: &str, bag: bool, seed: u64, rounds: usize) -> usize {
     }
     let engine = Engine::new();
     let prepared = engine.prepare(&query).unwrap();
-    let mut solver = prepared.incremental_solver();
+    let mut solver = IncrementalSolver::new();
     let mut rng = seed;
     let mut log: Vec<FactChange> = Vec::new();
     let mut incremental_snapshots = 0;
@@ -78,7 +80,16 @@ fn churn(pattern: &str, bag: bool, seed: u64, rounds: usize) -> usize {
         let db = materialize(&log);
         let want_cut = round % 2 == 0;
         let (incremental, mode) = prepared
-            .solve_incremental(&mut solver, &db, Some(&delta), want_cut)
+            .route_incremental(
+                &mut solver,
+                &db,
+                Some(&delta),
+                want_cut,
+                &RouteBudget::UNLIMITED,
+                &Router::new(),
+                &mut Trace::disabled(),
+            )
+            .map(|(tiered, mode)| (tiered.outcome, mode))
             .unwrap_or_else(|e| panic!("{pattern} round {round}: {e}"));
         if mode == SolveMode::Incremental {
             incremental_snapshots += 1;
@@ -109,7 +120,8 @@ fn churn(pattern: &str, bag: bool, seed: u64, rounds: usize) -> usize {
         }
         // Third opinion on small instances: the subset-enumeration oracle.
         if db.num_facts() <= 7 {
-            let oracle = solve_with(Algorithm::ExactEnumeration, &query, &db).unwrap();
+            let oracle =
+                Engine::new().solve_with(Algorithm::ExactEnumeration, &query, &db).unwrap();
             assert_eq!(oracle.value, fresh.value, "{pattern} round {round}: oracle disagrees");
         }
     }

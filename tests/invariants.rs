@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use rpq::automata::{Alphabet, Language};
 use rpq::graphdb::generate::random_labeled_graph;
 use rpq::graphdb::GraphDb;
-use rpq::resilience::algorithms::solve;
+use rpq::resilience::engine::Engine;
 use rpq::resilience::rpq::{ResilienceValue, Rpq};
 
 const PATTERNS: &[&str] = &["ax*b", "ab|ad", "ab|bc", "aa", "aab", "abc|bd", "a(b|d)*x", "abx"];
@@ -29,7 +29,7 @@ fn small_db(seed: u64, nodes: usize, facts: usize) -> GraphDb {
 }
 
 fn value(rpq: &Rpq, db: &GraphDb) -> ResilienceValue {
-    solve(rpq, db).expect("solve never fails on these inputs").value
+    Engine::new().solve(rpq, db).expect("solve never fails on these inputs").value
 }
 
 proptest! {
@@ -107,7 +107,7 @@ proptest! {
     fn returned_contingency_sets_are_genuine(seed in 0u64..500, pattern in pattern_strategy()) {
         let db = small_db(seed, 4, 7);
         let query = Rpq::new(Language::parse(pattern).unwrap());
-        let outcome = solve(&query, &db).unwrap();
+        let outcome = Engine::new().solve(&query, &db).unwrap();
         if let (Some(cut), ResilienceValue::Finite(v)) = (&outcome.contingency_set, outcome.value) {
             let set: std::collections::BTreeSet<_> = cut.iter().copied().collect();
             prop_assert!(query.is_contingency_set(&db, &set), "{}", pattern);

@@ -5,7 +5,8 @@
 use rpq::flow::{Capacity, FlowNetwork};
 use rpq::graphdb::generate::flow_instance;
 use rpq::graphdb::GraphDb;
-use rpq::resilience::algorithms::{solve, Algorithm};
+use rpq::resilience::algorithms::Algorithm;
+use rpq::resilience::engine::Engine;
 use rpq::resilience::rpq::Rpq;
 use std::collections::BTreeMap;
 
@@ -44,7 +45,7 @@ fn resilience_of_ax_star_b_equals_classical_mincut() {
     for seed in 0..8 {
         let db = flow_instance(4, 3, 2, 6, seed);
         let query = Rpq::parse("ax*b").unwrap().with_bag_semantics();
-        let outcome = solve(&query, &db).unwrap();
+        let outcome = Engine::new().solve(&query, &db).unwrap();
         assert_eq!(outcome.algorithm, Algorithm::Local);
         let cut = rpq::flow::min_cut(&classical_network(&db));
         assert_eq!(outcome.value.finite().unwrap(), cut.value.finite().unwrap(), "seed {seed}");
@@ -56,11 +57,11 @@ fn resilience_is_monotone_in_capacities() {
     // Raising a multiplicity can only increase (or keep) the bag resilience.
     let db = flow_instance(3, 3, 2, 4, 99);
     let query = Rpq::parse("ax*b").unwrap().with_bag_semantics();
-    let base = solve(&query, &db).unwrap().value.finite().unwrap();
+    let base = Engine::new().solve(&query, &db).unwrap().value.finite().unwrap();
     let mut boosted = db.clone();
     let first = boosted.fact_ids().next().unwrap();
     boosted.set_multiplicity(first, boosted.multiplicity(first) + 10);
-    let boosted_value = solve(&query, &boosted).unwrap().value.finite().unwrap();
+    let boosted_value = Engine::new().solve(&query, &boosted).unwrap().value.finite().unwrap();
     assert!(boosted_value >= base);
 }
 
@@ -68,7 +69,7 @@ fn resilience_is_monotone_in_capacities() {
 fn removing_the_contingency_set_disconnects_the_network() {
     let db = flow_instance(4, 3, 2, 5, 7);
     let query = Rpq::parse("ax*b").unwrap().with_bag_semantics();
-    let outcome = solve(&query, &db).unwrap();
+    let outcome = Engine::new().solve(&query, &db).unwrap();
     let cut = outcome.contingency_set.expect("local algorithm returns a cut");
     let removed = cut.into_iter().collect();
     assert!(query.is_contingency_set(&db, &removed));

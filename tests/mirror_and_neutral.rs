@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 use rpq::automata::{neutral, Alphabet, Language};
 use rpq::graphdb::generate::random_labeled_graph;
-use rpq::resilience::algorithms::{solve, solve_mirrored};
 use rpq::resilience::classify::{classify, classify_with_neutral_letter};
+use rpq::resilience::engine::Engine;
 use rpq::resilience::rpq::Rpq;
 
 proptest! {
@@ -20,8 +20,8 @@ proptest! {
         let db = random_labeled_graph(nodes, facts, &Alphabet::from_chars("abx"), seed);
         for pattern in ["ax*b", "ab", "aa", "ab|bx"] {
             let q = Rpq::new(Language::parse(pattern).unwrap());
-            let direct = solve(&q, &db).unwrap().value;
-            let mirrored = solve_mirrored(&q, &db).unwrap().value;
+            let direct = Engine::new().solve(&q, &db).unwrap().value;
+            let mirrored = Engine::new().solve(&q.mirror(), &db.reversed()).unwrap().value;
             prop_assert_eq!(direct, mirrored, "{}", pattern);
         }
     }
